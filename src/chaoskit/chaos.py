@@ -38,6 +38,7 @@ __all__ = [
     "CoefficientCapError",
     "FACTORIAL_CAP",
     "HValuedChaos",
+    "as_points",
     "checked_factorial",
     "checked_perm",
     "derivative",
@@ -325,6 +326,20 @@ def _hermite_table(max_degree: int, pts: np.ndarray) -> list[np.ndarray]:
     return table
 
 
+def as_points(xi, dim: int) -> tuple[np.ndarray, bool]:
+    """Points of shape (d,) or (N, d) as an (N, d) batch, and whether xi
+    was a single point."""
+    pts = np.asarray(xi, dtype=np.float64)
+    single = pts.ndim == 1
+    if single:
+        pts = pts[None, :]
+    if pts.ndim != 2 or pts.shape[1] != dim:
+        raise ValueError(
+            f"points must have shape (d,) or (N, d) with d = {dim}, got {np.shape(xi)}"
+        )
+    return pts, single
+
+
 def evaluate(F: ChaosExpansion, xi):
     """Evaluate F at the Gaussian coordinates xi.
 
@@ -334,14 +349,7 @@ def evaluate(F: ChaosExpansion, xi):
     sum_j f_j prod_i H_{m_i(j)}(xi_i) with m_i(j) the multiplicity of i
     in the multi-index j.
     """
-    pts = np.asarray(xi, dtype=np.float64)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    if pts.ndim != 2 or pts.shape[1] != F.dim:
-        raise ValueError(
-            f"points must have shape (d,) or (N, d) with d = {F.dim}, got {np.shape(xi)}"
-        )
+    pts, single = as_points(xi, F.dim)
     if not F.terms:
         out = np.zeros(pts.shape[0])
         return float(out[0]) if single else out

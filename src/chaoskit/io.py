@@ -1,6 +1,7 @@
 """JSON file formats for tensors, chaos expansions, pairs, and reports.
 
-Tensor files list only nonzero entries; unlisted coefficients are zero.
+Tensor files list only nonzero entries; unlisted coefficients are zero
+and listed ones must be finite.
 A tensor stored with "symmetric": true is verified on load and rejected
 if the coefficients are not actually symmetric; for non-symmetric files
 the loader can be asked to symmetrize instead.
@@ -9,6 +10,7 @@ the loader can be asked to symmetrize instead.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Optional, Union
 
@@ -24,12 +26,10 @@ __all__ = [
     "breakdown_to_dict",
     "chaos_from_dict",
     "chaos_to_dict",
-    "load_chaos",
     "load_pair",
     "load_tensor",
     "pair_from_dict",
     "pair_to_dict",
-    "save_chaos",
     "save_pair",
     "save_tensor",
     "tensor_from_dict",
@@ -98,6 +98,8 @@ def tensor_from_dict(obj: dict, request_symmetrize: bool = False) -> Tensor:
             raise SchemaError(f"{where}: must be an object")
         index = _require(entry, "index", list, where)
         value = _require(entry, "value", float, where)
+        if not math.isfinite(value):
+            raise SchemaError(f"{where}: value {value} at index {index} is not finite")
         if len(index) != order:
             raise SchemaError(f"{where}: index length {len(index)} != order {order}")
         for j in index:
@@ -158,14 +160,6 @@ def chaos_from_dict(obj: dict) -> ChaosExpansion:
             raise SchemaError(f"{where}: duplicate order {order}")
         terms[order] = tensor
     return ChaosExpansion(dim, terms)
-
-
-def load_chaos(path: PathLike) -> ChaosExpansion:
-    return chaos_from_dict(_read_json(path))
-
-
-def save_chaos(F: ChaosExpansion, path: PathLike) -> None:
-    _write_json(chaos_to_dict(F), path)
 
 
 # -- pairs --------------------------------------------------------------------

@@ -13,7 +13,10 @@ and this module computes its determinant three independent ways:
   coordinates (manifestly nonnegative);
 * in closed form, as E det = T_0 + sum_{r>=1} T_r with T_0 built from
   contraction norms ||f x_s g||^2 and the T_r built from quadruple
-  (hat) contractions.
+  (hat) contractions, all read for every k from one
+  :class:`ContractionTable` of the C_r = f x_r g.  This is the
+  production route; :func:`tr_term_direct` and ``tensor.hat_contract``
+  are oracles for the tests and ``verify`` only.
 
 It also provides the covariance determinant
 det C = n!^2 (||f||^2 ||g||^2 - <f, g>^2), the inequality bounding
@@ -36,6 +39,7 @@ import numpy as np
 
 from .chaos import (
     ChaosExpansion,
+    as_points,
     checked_factorial,
     derivative,
     evaluate,
@@ -45,7 +49,6 @@ from .chaos import (
 from .tensor import (
     Tensor,
     contract,
-    hat_contract,
     inner,
     orbit_info,
     random_symmetric,
@@ -55,6 +58,8 @@ from .tensor import (
 
 __all__ = [
     "CombinatorialCoeffs",
+    "ContractionTable",
+    "DIRECT_CONSTANTS",
     "DensityReport",
     "DetBreakdown",
     "InequalityResult",
@@ -69,6 +74,7 @@ __all__ = [
     "expected_det",
     "expected_det_chaos",
     "expected_det_closed_form",
+    "expected_dets",
     "gram_chaos",
     "random_pair",
     "sum_of_squares_eval",
@@ -258,12 +264,7 @@ def sum_of_squares_eval(pair: MalliavinPair, k: int, xi):
     batch (N, d).
     """
     _check_k(pair, k)
-    pts = np.asarray(xi, dtype=np.float64)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    if pts.ndim != 2 or pts.shape[1] != pair.dim:
-        raise ValueError(f"points must have shape (d,) or (N, d) with d = {pair.dim}")
+    pts, single = as_points(xi, pair.dim)
     A, B = _derivative_values(pair, k, pts)
     p = A.shape[1]
     out = np.empty(pts.shape[0])
@@ -283,62 +284,94 @@ def det_gram_eval(pair: MalliavinPair, k: int, xi):
     guaranteed nonnegative under rounding.
     """
     _check_k(pair, k)
-    pts = np.asarray(xi, dtype=np.float64)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
+    pts, single = as_points(xi, pair.dim)
     A, B = _derivative_values(pair, k, pts)
     det = (A * A).sum(axis=1) * (B * B).sum(axis=1) - (A * B).sum(axis=1) ** 2
     return float(det[0]) if single else det
 
 
-# -- closed-form route: contraction norms and hat contractions ---------------
+# -- closed-form route: one contraction table per pair -----------------------
+
+
+class ContractionTable:
+    """The closed form's norms and hat contractions, each C_r = f x_r g once.
+
+    ``norms[s]`` = ||C_s||^2 for s = 0..min(n, m), with ||C_0||^2 =
+    ||f||^2 ||g||^2 so the outer product is never built.  ``hats[(r, s)]``
+    = hat(f,g,g,f; r,s) for r >= 1, r + s <= min(n, m): C_r against
+    itself with its first s f-slots and first s g-slots swapped.
+    hats[(r, 0)] = norms[r], and hats[(r, s)] = hats[(s, r)] (the swap
+    identity) is read off the smaller contraction.  A table lives for
+    one call; nothing is stored on the pair.
+    """
+
+    def __init__(self, pair: MalliavinPair):
+        n, m, f, g = pair.n, pair.m, pair.f, pair.g
+        # the coefficients need n! and m! exactly: refuse before allocating
+        checked_factorial(n)
+        checked_factorial(m)
+        self.n, self.m = n, m
+        self.norms = [inner(f, f) * inner(g, g)]
+        self.hats: dict[tuple[int, int], float] = {}
+        for r in range(1, min(n, m) + 1):
+            c = contract(f, g, r).coeffs
+            self.norms.append(float(np.vdot(c, c)))
+            self.hats[(r, 0)] = self.norms[r]
+            p = n - r  # f-slots of c; swap slots [0, s) with [p, p + s)
+            for s in range(1, min(r, p, m - r) + 1):
+                axes = (*range(p, p + s), *range(s, p), *range(s), *range(p + s, c.ndim))
+                self.hats[(r, s)] = self.hats[(s, r)] = float(
+                    np.vdot(c, c.transpose(axes))
+                )
+
+    def t0(self, k: int) -> float:
+        n, m, norms = self.n, self.m, self.norms
+        lead = math.factorial(m) ** 2 * math.factorial(n) ** 2 // (
+            math.factorial(m - k) * math.factorial(n - k)
+        )
+        total = 0.0
+        for s in range(min(m - k, n - k) + 1):
+            w = math.comb(m - k, s) * math.comb(n - k, s)
+            total += w * (norms[s] - norms[s + k])
+        return float(lead) * total
+
+    def tr(self, k: int, r: int) -> float:
+        n, m, hats = self.n, self.m, self.hats
+        total = 0.0
+        for s in range(min(n - k - r, m - k - r) + 1):
+            w = math.comb(n - k - r, s) * math.comb(m - k - r, s)
+            total += w * (hats[(r, s)] - hats[(r, s + k)])
+        return float(_beta(n, m, k, r)) * total
+
+    def terms(self, k: int) -> tuple[float, tuple[float, ...]]:
+        """(T_0, (T_1, ..., T_rmax)) for the k-th iterated matrix."""
+        rmax = min(self.n - k, self.m - k)
+        return self.t0(k), tuple(self.tr(k, r) for r in range(1, rmax + 1))
 
 
 def t0_term(pair: MalliavinPair, k: int) -> float:
     """Leading term of E det: weighted contraction-norm differences.
 
     m!^2 n!^2 / ((m-k)! (n-k)!) * sum_s C(m-k,s) C(n-k,s)
-    (||f x_s g||^2 - ||f x_{s+k} g||^2).
+    (||f x_s g||^2 - ||f x_{s+k} g||^2), read from the pair's
+    :class:`ContractionTable`.
     """
     _check_k(pair, k)
-    n, m, f, g = pair.n, pair.m, pair.f, pair.g
-    lead = (
-        checked_factorial(m) ** 2
-        * checked_factorial(n) ** 2
-        // (math.factorial(m - k) * math.factorial(n - k))
-    )
-    total = 0.0
-    for s in range(min(m - k, n - k) + 1):
-        w = math.comb(m - k, s) * math.comb(n - k, s)
-        total += w * (_contract_norm2(f, g, s) - _contract_norm2(f, g, s + k))
-    return float(lead) * total
-
-
-def _contract_norm2(f: Tensor, g: Tensor, s: int) -> float:
-    c = contract(f, g, s)
-    return inner(c, c)
+    return ContractionTable(pair).t0(k)
 
 
 def tr_term(pair: MalliavinPair, k: int, r: int) -> float:
     """Correction term T_r for r >= 1, via quadruple contractions.
 
     beta(k, r) * sum_s C(n-k-r,s) C(m-k-r,s)
-    (hat(f,g,g,f; r,s) - hat(f,g,g,f; r,s+k)).  Nonnegative up to
+    (hat(f,g,g,f; r,s) - hat(f,g,g,f; r,s+k)), with the hat contractions
+    read from the pair's :class:`ContractionTable`.  Nonnegative up to
     rounding: it equals a sum of squared norms (see tr_term_direct).
     """
     _check_k(pair, k)
-    n, m, f, g = pair.n, pair.m, pair.f, pair.g
-    if not 1 <= r <= min(n - k, m - k):
-        raise ValueError(f"r = {r} out of range [1, {min(n - k, m - k)}]")
-    beta = _beta(n, m, k, r)
-    total = 0.0
-    for s in range(min(n - k - r, m - k - r) + 1):
-        w = math.comb(n - k - r, s) * math.comb(m - k - r, s)
-        total += w * (
-            hat_contract(f, g, g, f, r, s) - hat_contract(f, g, g, f, r, s + k)
-        )
-    return float(beta) * total
+    if not 1 <= r <= min(pair.n - k, pair.m - k):
+        raise ValueError(f"r = {r} out of range [1, {min(pair.n - k, pair.m - k)}]")
+    return ContractionTable(pair).tr(k, r)
 
 
 def tr_term_direct(pair: MalliavinPair, k: int, r: int) -> float:
@@ -346,7 +379,8 @@ def tr_term_direct(pair: MalliavinPair, k: int, r: int) -> float:
 
     1/2 alpha(k, r) * sum over all pairs (i, l) of k-multi-indices of
     || sym(f_i x_r g_l) - sym(f_l x_r g_i) ||^2, where f_i is the slice
-    of f at i.  Valid for r = 0 too, where it equals t0_term.
+    of f at i.  Valid for r = 0 too, where it equals t0_term.  An oracle
+    for the tests and ``verify`` only; no production route uses it.
     """
     _check_k(pair, k)
     n, m, f, g = pair.n, pair.m, pair.f, pair.g
@@ -365,11 +399,17 @@ def tr_term_direct(pair: MalliavinPair, k: int, r: int) -> float:
     return 0.5 * float(alpha) * total
 
 
+def expected_dets(pair: MalliavinPair) -> tuple[float, ...]:
+    """Closed-form E det = T_0 + sum_r T_r of the k-th iterated Malliavin
+    matrix at index k-1, for k = 1..min(n, m), from one ContractionTable."""
+    terms = map(ContractionTable(pair).terms, range(1, min(pair.n, pair.m) + 1))
+    return tuple(t0 + sum(tr) for t0, tr in terms)
+
+
 def expected_det(pair: MalliavinPair, k: int) -> float:
-    """Closed-form E det of the k-th iterated Malliavin matrix."""
+    """``expected_dets(pair)[k-1]``: the table costs the same for one k."""
     _check_k(pair, k)
-    rmax = min(pair.n - k, pair.m - k)
-    return t0_term(pair, k) + sum(tr_term(pair, k, r) for r in range(1, rmax + 1))
+    return expected_dets(pair)[k - 1]
 
 
 @dataclass(frozen=True)
@@ -392,9 +432,7 @@ class DetBreakdown:
 def expected_det_closed_form(pair: MalliavinPair, k: int) -> DetBreakdown:
     """Full closed-form breakdown of E det, with the symbolic oracle value."""
     _check_k(pair, k)
-    t0 = t0_term(pair, k)
-    rmax = min(pair.n - k, pair.m - k)
-    tr = tuple(tr_term(pair, k, r) for r in range(1, rmax + 1))
+    t0, tr = ContractionTable(pair).terms(k)
     remainder = float(sum(tr))
     return DetBreakdown(
         k=k,
@@ -430,11 +468,20 @@ def cov_det(pair: MalliavinPair) -> float:
     return checked_factorial(n) ** 2 * (nf2 * ng2 - fg * fg)
 
 
+# E det^(1) >= c_n det C, the inequality for n = 2, 3, 4 (where its sum is empty)
+DIRECT_CONSTANTS = {2: 4.0, 3: 9.0 / 4.0, 4: 16.0 / 9.0}
+
+
 @dataclass(frozen=True)
 class InequalityResult:
+    """lhs >= rhs, and edet1 >= direct_bound for n in DIRECT_CONSTANTS."""
+
     lhs: float
     rhs: float
     holds: bool
+    edet1: float
+    direct_bound: Optional[float]
+    direct_holds: Optional[bool]
 
 
 def covariance_inequality(pair: MalliavinPair, tol_rel: float = 1e-9) -> InequalityResult:
@@ -444,18 +491,25 @@ def covariance_inequality(pair: MalliavinPair, tol_rel: float = 1e-9) -> Inequal
           + (n-1)^2 * E det^(1),
     rhs = n^2 det C, and holds means lhs >= rhs - tol_rel * scale.
     The sum is empty for n <= 4; for n = 2, 3, 4 the bound reduces to
-    E det^(1) >= c_n det C with c_n = 4, 9/4, 16/9.
+    E det^(1) >= c_n det C with c_n = 4, 9/4, 16/9 (DIRECT_CONSTANTS),
+    also checked at tol_rel.  Every E det comes from one table.
     """
     n = _require_equal_orders(pair)
     if n < 2:
         raise ValueError(f"the inequality requires order n >= 2, got {n}")
-    lhs = (n - 1) ** 2 * expected_det(pair, 1)
+    dets = expected_dets(pair)
+    lhs = (n - 1) ** 2 * dets[0]
     for s in range(2, (n - 1) // 2 + 1):
         w = Fraction(n * (n - 2 * s), math.factorial(s) ** 2)
-        lhs += float(w) * expected_det(pair, s)
-    rhs = n**2 * cov_det(pair)
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return InequalityResult(lhs=lhs, rhs=rhs, holds=lhs >= rhs - tol_rel * scale)
+        lhs += float(w) * dets[s - 1]
+    c = cov_det(pair)
+    rhs = n**2 * c
+    bound = direct_holds = None
+    if n in DIRECT_CONSTANTS:
+        bound = DIRECT_CONSTANTS[n] * c
+        direct_holds = dets[0] >= bound - tol_rel * max(1.0, abs(dets[0]), abs(bound))
+    holds = lhs >= rhs - tol_rel * max(1.0, abs(lhs), abs(rhs))
+    return InequalityResult(lhs, rhs, holds, dets[0], bound, direct_holds)
 
 
 class Verdict(str, Enum):
@@ -490,13 +544,13 @@ def default_density_tol(pair: MalliavinPair) -> float:
 
 def density_check(pair: MalliavinPair, tol_abs: Optional[float] = None) -> DensityReport:
     """Degeneracy verdict from det C, cross-tabulated with every E det."""
-    n = _require_equal_orders(pair)
+    _require_equal_orders(pair)
     if tol_abs is None:
         tol_abs = default_density_tol(pair)
     elif tol_abs <= 0:
         raise ValueError(f"tol_abs must be > 0, got {tol_abs}")
     c = cov_det(pair)
-    dets = tuple(expected_det(pair, k) for k in range(1, n + 1))
+    dets = expected_dets(pair)
     degenerate = c <= tol_abs
     consistent = all(v <= tol_abs for v in dets) or all(v > tol_abs for v in dets)
     return DensityReport(

@@ -7,7 +7,9 @@ uniforms per pair of normals).  Results are therefore bit-identical for
 a given (seed, index) no matter how samples are sharded or ordered.
 
 Reductions accumulate fixed-size chunks in index order, so an estimate
-depends only on (seed, n_samples).
+depends only on (seed, n_samples); the variance merges per-chunk means
+and squared deviations, which stays accurate when the mean is large
+against the spread.
 """
 
 from __future__ import annotations
@@ -112,17 +114,26 @@ def _run_estimator(values_for_block, n_samples: int, seed: int, dump) -> Estimat
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     total = 0.0
-    total_sq = 0.0
+    # (count, mean, M2) merged chunk by chunk in index order (Chan, Golub &
+    # LeVeque): sum(x^2) - n mean^2 cancels when the mean dwarfs the spread
+    count = 0
+    run_mean = 0.0
+    m2 = 0.0
     for start in range(0, n_samples, CHUNK_SAMPLES):
-        count = min(CHUNK_SAMPLES, n_samples - start)
-        vals = values_for_block(start, count)
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
+        size = min(CHUNK_SAMPLES, n_samples - start)
+        vals = values_for_block(start, size)
+        chunk_sum = float(np.sum(vals))
+        total += chunk_sum
+        dev = vals - chunk_sum / size
+        delta = chunk_sum / size - run_mean
+        count += size
+        run_mean += delta * size / count
+        m2 += float(np.dot(dev, dev)) + delta * delta * (count - size) * size / count
         if dump is not None:
             for i, v in enumerate(vals):
                 dump.writerow((start + i, f"{v:.17g}"))
     mean = total / n_samples
-    var = max(total_sq - n_samples * mean * mean, 0.0) / (n_samples - 1)
+    var = m2 / (n_samples - 1)
     return Estimate(
         mean=mean,
         stderr=math.sqrt(var / n_samples),

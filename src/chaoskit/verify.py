@@ -84,6 +84,20 @@ def anchor_pair() -> mal.MalliavinPair:
     return mal.MalliavinPair(f, g)
 
 
+def _draw(cfg: VerifyConfig, salt: int, i: int, top: int):
+    """Seed, generator, d in [2, cfg.dim] and orders n, m in [1, top] of
+    instance i of the check with this salt."""
+    seed = instance_seed(cfg.seed, salt, i)
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, cfg.dim + 1))
+    return seed, rng, d, int(rng.integers(1, top + 1)), int(rng.integers(1, top + 1))
+
+
+def _four_tensors(d: int, n: int, m: int, seed: int):
+    """Random symmetric (f, h, g, ell) of orders (n, n, m, m)."""
+    return tuple(random_symmetric(d, o, seed + j) for j, o in enumerate((n, n, m, m)))
+
+
 def _rel_err(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
@@ -124,11 +138,7 @@ def check_slice_reassembly(cfg: VerifyConfig) -> CheckResult:
     slices back into a deeper contraction of the full tensors."""
     rec = _Recorder(cfg.tol_rel)
     for i in range(cfg.trials):
-        seed = instance_seed(cfg.seed, 1, i)
-        rng = np.random.default_rng(seed)
-        d = int(rng.integers(2, cfg.dim + 1))
-        n = int(rng.integers(1, cfg.max_order + 1))
-        m = int(rng.integers(1, cfg.max_order + 1))
+        seed, _, d, n, m = _draw(cfg, 1, i, cfg.max_order)
         f = random_symmetric(d, n, seed)
         g = random_symmetric(d, m, seed + 1)
         for k in range(0, min(n, m) + 1):
@@ -150,15 +160,8 @@ def check_contraction_swap(cfg: VerifyConfig) -> CheckResult:
     """<f x_{n-r} h, g x_{m-r} l> = <f x_r g, h x_r l>."""
     rec = _Recorder(cfg.tol_rel)
     for i in range(cfg.trials):
-        seed = instance_seed(cfg.seed, 2, i)
-        rng = np.random.default_rng(seed)
-        d = int(rng.integers(2, cfg.dim + 1))
-        n = int(rng.integers(1, cfg.max_order + 1))
-        m = int(rng.integers(1, cfg.max_order + 1))
-        f = random_symmetric(d, n, seed)
-        h = random_symmetric(d, n, seed + 1)
-        g = random_symmetric(d, m, seed + 2)
-        ell = random_symmetric(d, m, seed + 3)
+        seed, _, d, n, m = _draw(cfg, 2, i, cfg.max_order)
+        f, h, g, ell = _four_tensors(d, n, m, seed)
         for r in range(0, min(n - 1, m - 1) + 1):
             lhs = inner(contract(f, h, n - r), contract(g, ell, m - r))
             rhs = inner(contract(f, g, r), contract(h, ell, r))
@@ -170,15 +173,8 @@ def check_symmetrized_product_inner(cfg: VerifyConfig) -> CheckResult:
     """<sym(f x g), sym(l x h)> expands over contractions of the four tensors."""
     rec = _Recorder(cfg.tol_rel)
     for i in range(cfg.trials):
-        seed = instance_seed(cfg.seed, 3, i)
-        rng = np.random.default_rng(seed)
-        d = int(rng.integers(2, cfg.dim + 1))
-        n = int(rng.integers(1, cfg.max_order + 1))
-        m = int(rng.integers(1, cfg.max_order + 1))
-        f = random_symmetric(d, n, seed)
-        h = random_symmetric(d, n, seed + 1)
-        g = random_symmetric(d, m, seed + 2)
-        ell = random_symmetric(d, m, seed + 3)
+        seed, _, d, n, m = _draw(cfg, 3, i, cfg.max_order)
+        f, h, g, ell = _four_tensors(d, n, m, seed)
         lhs = inner(symmetrize(tensor_product(f, g)), symmetrize(tensor_product(ell, h)))
         total = 0.0
         for r in range(0, min(n, m) + 1):
@@ -196,15 +192,8 @@ def check_hat_expansion(cfg: VerifyConfig) -> CheckResult:
     """<sym(f x_r g), sym(l x_r h)> expands over the quadruple contractions."""
     rec = _Recorder(cfg.tol_rel)
     for i in range(cfg.trials):
-        seed = instance_seed(cfg.seed, 4, i)
-        rng = np.random.default_rng(seed)
-        d = int(rng.integers(2, cfg.dim + 1))
-        n = int(rng.integers(1, cfg.max_order + 1))
-        m = int(rng.integers(1, cfg.max_order + 1))
-        f = random_symmetric(d, n, seed)
-        h = random_symmetric(d, n, seed + 1)
-        g = random_symmetric(d, m, seed + 2)
-        ell = random_symmetric(d, m, seed + 3)
+        seed, _, d, n, m = _draw(cfg, 4, i, cfg.max_order)
+        f, h, g, ell = _four_tensors(d, n, m, seed)
         for r in range(0, min(n - 1, m - 1) + 1):
             lhs = inner(symmetrize(contract(f, g, r)), symmetrize(contract(ell, h, r)))
             total = 0.0
@@ -228,15 +217,8 @@ def check_hat_swap(cfg: VerifyConfig) -> CheckResult:
     """Exchanging the roles (g, r) <-> (l, s) leaves the hat contraction fixed."""
     rec = _Recorder(cfg.tol_rel)
     for i in range(cfg.trials):
-        seed = instance_seed(cfg.seed, 5, i)
-        rng = np.random.default_rng(seed)
-        d = int(rng.integers(2, cfg.dim + 1))
-        n = int(rng.integers(1, cfg.max_order + 1))
-        m = int(rng.integers(1, cfg.max_order + 1))
-        f = random_symmetric(d, n, seed)
-        h = random_symmetric(d, n, seed + 1)
-        g = random_symmetric(d, m, seed + 2)
-        ell = random_symmetric(d, m, seed + 3)
+        seed, _, d, n, m = _draw(cfg, 5, i, cfg.max_order)
+        f, h, g, ell = _four_tensors(d, n, m, seed)
         for r in range(0, min(n, m) + 1):
             for s in range(0, min(n, m) - r + 1):
                 lhs = hat_contract(f, g, ell, h, r, s)
@@ -270,11 +252,7 @@ def check_product_pointwise(cfg: VerifyConfig) -> CheckResult:
     """The product formula is a polynomial identity: it holds at every point."""
     rec = _Recorder(cfg.tol_rel)
     for i in range(cfg.trials):
-        seed = instance_seed(cfg.seed, 11, i)
-        rng = np.random.default_rng(seed)
-        d = int(rng.integers(2, cfg.dim + 1))
-        n = int(rng.integers(1, cfg.max_order + 1))
-        m = int(rng.integers(1, cfg.max_order + 1))
+        seed, rng, d, n, m = _draw(cfg, 11, i, cfg.max_order)
         F = ChaosExpansion.integral(random_symmetric(d, n, seed))
         G = ChaosExpansion.integral(random_symmetric(d, m, seed + 1))
         pts = rng.standard_normal((50, d))
@@ -289,11 +267,7 @@ def check_isometry(cfg: VerifyConfig) -> CheckResult:
     """E[I_n(f) I_m(g)] is 0 for n != m and n! <f, g> for n = m."""
     rec = _Recorder(1e-12)
     for i in range(cfg.trials):
-        seed = instance_seed(cfg.seed, 12, i)
-        rng = np.random.default_rng(seed)
-        d = int(rng.integers(2, cfg.dim + 1))
-        n = int(rng.integers(1, cfg.max_order + 1))
-        m = int(rng.integers(1, cfg.max_order + 1))
+        seed, _, d, n, m = _draw(cfg, 12, i, cfg.max_order)
         f = random_symmetric(d, n, seed)
         g = random_symmetric(d, m, seed + 1)
         F, G = ChaosExpansion.integral(f), ChaosExpansion.integral(g)
@@ -399,11 +373,7 @@ def check_closed_vs_symbolic(cfg: VerifyConfig) -> CheckResult:
     rec = _Recorder(1e-8)
     top = min(cfg.max_order, 4)
     for i in range(cfg.trials):
-        seed = instance_seed(cfg.seed, 21, i)
-        rng = np.random.default_rng(seed)
-        d = int(rng.integers(2, cfg.dim + 1))
-        n = int(rng.integers(1, top + 1))
-        m = int(rng.integers(1, top + 1))
+        seed, _, d, n, m = _draw(cfg, 21, i, top)
         pair = mal.random_pair(d, n, m, seed)
         for k in range(1, min(n, m) + 1):
             closed = mal.expected_det(pair, k)
@@ -418,11 +388,7 @@ def check_sum_of_squares_pointwise(cfg: VerifyConfig) -> CheckResult:
     rec = _Recorder(cfg.tol_rel)
     top = min(cfg.max_order, 3)
     for i in range(cfg.trials):
-        seed = instance_seed(cfg.seed, 22, i)
-        rng = np.random.default_rng(seed)
-        d = int(rng.integers(2, cfg.dim + 1))
-        n = int(rng.integers(1, top + 1))
-        m = int(rng.integers(1, top + 1))
+        seed, rng, d, n, m = _draw(cfg, 22, i, top)
         pair = mal.random_pair(d, n, m, seed)
         pts = rng.standard_normal((20, d))
         for k in range(1, min(n, m) + 1):
@@ -449,11 +415,7 @@ def check_term_nonnegativity(cfg: VerifyConfig) -> CheckResult:
     """Each correction term is a sum of squares, so never meaningfully negative."""
     rec = _Recorder(1e-10)
     for i in range(cfg.trials):
-        seed = instance_seed(cfg.seed, 23, i)
-        rng = np.random.default_rng(seed)
-        d = int(rng.integers(2, cfg.dim + 1))
-        n = int(rng.integers(1, cfg.max_order + 1))
-        m = int(rng.integers(1, cfg.max_order + 1))
+        seed, _, d, n, m = _draw(cfg, 23, i, cfg.max_order)
         pair = mal.random_pair(d, n, m, seed)
         scale = _det_scale(pair)
         for k in range(1, min(n, m) + 1):
@@ -560,7 +522,6 @@ def check_degeneracy(cfg: VerifyConfig) -> CheckResult:
 def check_covariance_inequality(cfg: VerifyConfig) -> CheckResult:
     """The determinant inequality and its small-order constants 4, 9/4, 16/9."""
     rec = _Recorder(cfg.tol_rel)
-    constants = {2: 4.0, 3: 9.0 / 4.0, 4: 16.0 / 9.0}
     for i in range(cfg.trials):
         seed = instance_seed(cfg.seed, 27, i)
         rng = np.random.default_rng(seed)
@@ -571,9 +532,8 @@ def check_covariance_inequality(cfg: VerifyConfig) -> CheckResult:
         margin = res.lhs - res.rhs
         scale = max(1.0, abs(res.lhs), abs(res.rhs))
         rec.add(max(-margin, 0.0) / scale, f"d={d} n={n} seed={seed}")
-        if n in constants:
-            e1 = mal.expected_det(pair, 1)
-            bound = constants[n] * mal.cov_det(pair)
+        if res.direct_bound is not None:
+            e1, bound = res.edet1, res.direct_bound
             rec.add(
                 max(bound - e1, 0.0) / max(1.0, abs(e1), abs(bound)),
                 f"direct d={d} n={n} seed={seed}",

@@ -153,6 +153,23 @@ class TestDensity:
         assert doc["verdict"] == "DEGENERATE"
         assert all(abs(r["value"]) <= doc["tol_abs"] for r in doc["expected_dets"])
 
+    def test_non_finite_coefficient_rejected(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        run(capsys, "gen", "--dim", "2", "--order", "1", "--seed", "3", "-o", str(path))
+        doc = json.loads(path.read_text())
+        doc["g"]["entries"][0]["value"] = float("nan")
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "density", "--pair", str(path))
+        assert code == 2
+        assert out == ""
+        assert "tensor entry 0" in err and "not finite" in err
+
+    def test_inconsistent_report_exits_1(self, anchor_file, capsys):
+        # E det = (12, 8): a zero threshold of 10 splits them
+        code, out, _ = run(capsys, "density", "--pair", str(anchor_file), "--tol-abs", "10")
+        assert code == 1
+        assert json.loads(out)["consistent"] is False
+
     def test_unequal_orders_rejected(self, tmp_path, capsys):
         path = tmp_path / "nm.json"
         run(

@@ -95,6 +95,18 @@ class TestTensorFormat:
         with pytest.raises(SchemaError):
             tensor_from_dict(doc)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_entry_rejected(self, value):
+        # order 1 skips the symmetry check, which used to let NaN through
+        doc = {
+            "dim": 2,
+            "order": 1,
+            "symmetric": True,
+            "entries": [{"index": [0], "value": 1.0}, {"index": [1], "value": value}],
+        }
+        with pytest.raises(SchemaError, match=r"tensor entry 1: .* index \[1\] is not finite"):
+            tensor_from_dict(doc)
+
     def test_extra_keys_tolerated(self):
         doc = tensor_to_dict(basis_tensor(2, (0,)))
         doc["seed"] = 99

@@ -7,6 +7,7 @@ with expectation 12, and whose covariance determinant is 2.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from chaoskit.chaos import evaluate, expectation
 from chaoskit.malliavin import (
+    ContractionTable,
     MalliavinPair,
     Verdict,
     combinatorial_coefficients,
@@ -25,6 +27,7 @@ from chaoskit.malliavin import (
     expected_det,
     expected_det_chaos,
     expected_det_closed_form,
+    expected_dets,
     gram_chaos,
     random_pair,
     sum_of_squares_eval,
@@ -35,6 +38,8 @@ from chaoskit.malliavin import (
 from chaoskit.tensor import (
     basis_tensor,
     basis_vector,
+    contract,
+    hat_contract,
     inner,
     random_symmetric,
     symmetrize,
@@ -273,6 +278,53 @@ class TestExpectedDet:
             for k in range(1, min(n, m) + 1):
                 sym = expected_det_chaos(pair, k)
                 assert abs(expected_det(pair, k) - sym) <= 1e-8 * (1 + abs(sym))
+
+
+def _table_cases():
+    cases = [random_pair(d, n, n, 300 + 10 * n + d) for n in range(1, 6) for d in (2, 3)]
+    cases += [random_pair(3, n, m, 350 + n) for n, m in ((4, 2), (5, 3), (3, 1), (2, 4))]
+    cases += [
+        MalliavinPair(f, f.scaled(c))
+        for f, c in ((random_symmetric(2, 4, 360), -1.5), (random_symmetric(3, 3, 361), 2.0))
+    ]
+    return cases
+
+
+class TestContractionTable:
+    """The table against the contraction and four-tensor hat oracles."""
+
+    @pytest.mark.parametrize("pair", _table_cases())
+    def test_entries_match_oracles(self, pair):
+        f, g = pair.f, pair.g
+        top = min(pair.n, pair.m)
+        table = ContractionTable(pair)
+        assert len(table.norms) == top + 1
+        for s, value in enumerate(table.norms):
+            c = contract(f, g, s)
+            assert value == pytest.approx(inner(c, c), rel=1e-12)
+        want = {(r, s) for r in range(1, top + 1) for s in range(top - r + 1)}
+        assert set(table.hats) == want
+        for (r, s), value in table.hats.items():
+            assert value == pytest.approx(hat_contract(f, g, g, f, r, s), rel=1e-12)
+
+    @pytest.mark.parametrize("pair", _table_cases())
+    def test_expected_dets_is_expected_det(self, pair):
+        dets = expected_dets(pair)
+        assert len(dets) == min(pair.n, pair.m)
+        for k, value in enumerate(dets, start=1):
+            assert value == expected_det(pair, k)
+            assert value == expected_det_closed_form(pair, k).closed_form
+
+    def test_density_check_never_builds_the_outer_product(self):
+        # d = 4, n = 6: f x_0 g would be 4^12 doubles (134 MB)
+        pair = random_pair(4, 6, 6, 3)
+        tracemalloc.start()
+        try:
+            density_check(pair)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestCovDet:

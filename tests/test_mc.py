@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from chaoskit.chaos import ChaosExpansion
+from chaoskit.chaos import ChaosExpansion, evaluate
 from chaoskit.malliavin import MalliavinPair, expected_det, random_pair
 from chaoskit.mc import (
     CHUNK_SAMPLES,
@@ -152,6 +152,17 @@ class TestEstimateMoment:
         est = estimate_moment(F, 1, n_samples=100, seed=8)
         assert est.mean == pytest.approx(3.25, rel=1e-15)
         assert est.stderr == pytest.approx(0.0, abs=1e-13)
+
+    def test_stderr_with_large_mean(self):
+        # the one-pass sum(x^2) - n mean^2 reported 3.6e-3 here, 1000x too big
+        F = ChaosExpansion.constant(1, 1e8) + ChaosExpansion.integral(
+            basis_vector(1, 0).scaled(1e-3)
+        )
+        n = 100_000
+        est = estimate_moment(F, 1, n_samples=n, seed=3)
+        vals = evaluate(F, sample_gaussian_block(1, 3, 0, n))
+        assert est.stderr == pytest.approx(np.std(vals, ddof=1) / math.sqrt(n), rel=1e-6)
+        assert est.stderr == pytest.approx(1e-3 / math.sqrt(n), rel=0.05)
 
     def test_power_validation(self):
         F = ChaosExpansion.constant(2, 1.0)
