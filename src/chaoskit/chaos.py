@@ -316,14 +316,41 @@ def hermite(n: int, x):
     return cur if cur.ndim else float(cur)
 
 
-def _hermite_table(max_degree: int, pts: np.ndarray) -> list[np.ndarray]:
-    """[H_0(pts), ..., H_max(pts)] for pts of shape (N, d)."""
-    table = [np.ones_like(pts)]
+def _hermite_table(max_degree: int, pts: np.ndarray) -> np.ndarray:
+    """H_0..H_max at pts of shape (N, d), laid out (d, max_degree + 1, N)."""
+    x = pts.T
+    table = np.empty((x.shape[0], max_degree + 1, x.shape[1]))
+    table[:, 0] = 1.0
     if max_degree >= 1:
-        table.append(pts.copy())
+        table[:, 1] = x
     for p in range(1, max_degree):
-        table.append(pts * table[p] - p * table[p - 1])
+        table[:, p + 1] = x * table[:, p] - p * table[:, p - 1]
     return table
+
+
+def _monomials(table: np.ndarray, order: int) -> np.ndarray:
+    """prod_i H_{m_i}(xi_i) for every orbit of [0,d)^order, shape (n_orbits, N).
+
+    One gather per axis from the Hermite table, with m_i the orbit's
+    multiplicity of index i; order 0 gives a single row of ones.
+    """
+    mult = orbit_info(table.shape[0], order).multiplicities
+    out = table[0, mult[:, 0]]
+    for i in range(1, table.shape[0]):
+        out *= table[i, mult[:, i]]
+    return out
+
+
+def _accumulate(out: np.ndarray, coeffs: np.ndarray, monomials: np.ndarray) -> np.ndarray:
+    """out += coeffs . monomials over the orbit axis, one orbit at a time.
+
+    ``coeffs`` is (n_orbits,) or (p, n_orbits).  The fixed-order
+    elementwise sum (no BLAS) makes every point's value independent of
+    the batch it is evaluated in.
+    """
+    for o in range(monomials.shape[0]):
+        out += coeffs[..., o, None] * monomials[o]
+    return out
 
 
 def as_points(xi, dim: int) -> tuple[np.ndarray, bool]:
@@ -345,31 +372,21 @@ def evaluate(F: ChaosExpansion, xi):
 
     ``xi`` is one point of shape (d,) or a batch of shape (N, d); returns
     a float or an array of N values.  Evaluation is exact polynomial
-    arithmetic: each order-k tensor contributes
-    sum_j f_j prod_i H_{m_i(j)}(xi_i) with m_i(j) the multiplicity of i
-    in the multi-index j.
+    arithmetic over permutation orbits: each order-k tensor contributes
+    sum_o S_o prod_i H_{m_i(o)}(xi_i), with S_o the sum of its
+    coefficients over orbit o of [0,d)^k and m_i(o) the multiplicity of
+    i in the orbit.  One Hermite table serves every order, and the
+    orbits are summed in a fixed order, so a point's value does not
+    depend on the batch it is in.
     """
     pts, single = as_points(xi, F.dim)
-    if not F.terms:
-        out = np.zeros(pts.shape[0])
-        return float(out[0]) if single else out
-    table = _hermite_table(F.max_order(), pts)
     out = np.zeros(pts.shape[0])
-    for k, t in F.terms.items():
-        if k == 0:
-            out += t.item()
-            continue
-        info = orbit_info(F.dim, k)
-        orbit_sums = np.bincount(
-            info.inverse, weights=t.coeffs.ravel(), minlength=len(info.counts)
-        )
-        for o, c in enumerate(orbit_sums):
-            if c == 0.0:
-                continue
-            term = np.full(pts.shape[0], c)
-            for i in range(F.dim):
-                mult = int(info.multiplicities[o, i])
-                if mult:
-                    term = term * table[mult][:, i]
-            out += term
+    if F.terms:
+        table = _hermite_table(F.max_order(), pts)
+        for k, t in F.terms.items():
+            info = orbit_info(F.dim, k)
+            orbit_sums = np.bincount(
+                info.inverse, weights=t.coeffs.ravel(), minlength=len(info.counts)
+            )
+            _accumulate(out, orbit_sums, _monomials(table, k))
     return float(out[0]) if single else out

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import io as kio
 from . import malliavin as mal
-from .mc import DEFAULT_SAMPLES, estimate_expected_det
+from .mc import _SEED_BOUND, DEFAULT_SAMPLES, estimate_expected_det
 from .tensor import random_symmetric
 from .verify import SUITES, VerifyConfig, instance_seed, run_suites
 
@@ -53,8 +53,8 @@ class RunConfig:
             raise ValueError(f"--trials must be >= 1, got {self.trials}")
         if self.samples < 2:
             raise ValueError(f"--samples must be >= 2, got {self.samples}")
-        if self.seed < 0:
-            raise ValueError(f"--seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < _SEED_BOUND:
+            raise ValueError(f"--seed must be in [0, 2**128), got {self.seed}")
         if self.tol_rel <= 0:
             raise ValueError(f"--tol-rel must be > 0, got {self.tol_rel}")
         if self.tol_abs is not None and self.tol_abs <= 0:

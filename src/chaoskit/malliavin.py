@@ -10,7 +10,9 @@ and this module computes its determinant three independent ways:
 
 * symbolically, as exact chaos arithmetic on the Gram entries;
 * pointwise, as half the sum of squared 2x2 minors of the derivative
-  coordinates (manifestly nonnegative);
+  coordinates (manifestly nonnegative), summed over permutation-orbit
+  representatives with orbit-size weights from one Hermite table per
+  batch of points;
 * in closed form, as E det = T_0 + sum_{r>=1} T_r with T_0 built from
   contraction norms ||f x_s g||^2 and the T_r built from quadruple
   (hat) contractions, all read for every k from one
@@ -39,10 +41,13 @@ import numpy as np
 
 from .chaos import (
     ChaosExpansion,
+    _accumulate,
+    _hermite_table,
+    _monomials,
     as_points,
     checked_factorial,
+    checked_perm,
     derivative,
-    evaluate,
     l2_inner,
     multiply,
 )
@@ -98,6 +103,9 @@ class MalliavinPair:
             raise ValueError("component orders must be >= 1")
         if not (self.f.symmetric and self.g.symmetric):
             raise ValueError("components must be symmetric tensors")
+        for name, t in (("f", self.f), ("g", self.g)):
+            if not np.isfinite(t.coeffs).all():
+                raise ValueError(f"component {name} has non-finite coefficients")
 
     @property
     def dim(self) -> int:
@@ -239,54 +247,70 @@ def expected_det_chaos(pair: MalliavinPair, k: int) -> float:
 # -- pointwise route: sum of squared minors ----------------------------------
 
 
-def _derivative_values(pair: MalliavinPair, k: int, pts: np.ndarray):
-    """Coordinates of D^k F and D^k G at each point, shape (N, d**k) each."""
-    d = pair.dim
-    dF = derivative(ChaosExpansion.integral(pair.f), k)
-    dG = derivative(ChaosExpansion.integral(pair.g), k)
-    info = orbit_info(d, k)
-    repsF = np.stack(
-        [evaluate(dF[tuple(int(j) for j in rep)], pts) for rep in info.reps]
-    )
-    repsG = np.stack(
-        [evaluate(dG[tuple(int(j) for j in rep)], pts) for rep in info.reps]
-    )
-    return repsF[info.inverse].T, repsG[info.inverse].T
+def _orbit_coordinates(pair: MalliavinPair, k: int, xi):
+    """D^k F and D^k G at the orbit representatives of [0,d)^k, (p, N)
+    each, the orbit sizes w, and whether xi was a single point.
+
+    The coordinate of D^k I_n(f) at rep j is n!/(n-k)! I_{n-k}(f_j), f_j
+    the slice of f at j: one row of orbit sums of f_j per rep, applied
+    to monomials from one Hermite table.
+    """
+    _check_k(pair, k)
+    pts, single = as_points(xi, pair.dim)
+    table = _hermite_table(max(pair.n, pair.m) - k, pts)
+    info_k = orbit_info(pair.dim, k)
+    monomials = {q: _monomials(table, q) for q in {pair.n - k, pair.m - k}}
+    coords = []
+    for f in (pair.f, pair.g):
+        info = orbit_info(pair.dim, f.order - k)
+        sums = np.stack([
+            np.bincount(info.inverse, weights=f.coeffs[tuple(rep)].ravel(),
+                        minlength=len(info.counts))
+            for rep in info_k.reps
+        ])
+        out = np.zeros((len(info_k.reps), pts.shape[0]))
+        coords.append(_accumulate(
+            out, float(checked_perm(f.order, k)) * sums, monomials[f.order - k]
+        ))
+    return coords[0], coords[1], info_k.counts.astype(np.float64), single
 
 
 def sum_of_squares_eval(pair: MalliavinPair, k: int, xi):
     """det of the k-th Malliavin matrix at xi via the squared-minor form.
 
-    Returns 1/2 sum_{i, l} (A_i B_l - A_l B_i)^2 over all pairs of
-    k-multi-indices, with A, B the derivative coordinates of F, G at xi.
-    Nonnegative pointwise by construction, and equal as a polynomial to
-    the evaluated symbolic determinant.  Accepts one point (d,) or a
-    batch (N, d).
+    1/2 sum_{i, l} (A_i B_l - A_l B_i)^2 over all pairs of k-multi-indices,
+    with A, B the derivative coordinates of F, G at xi.  Coordinates are
+    equal within a permutation orbit, so this is evaluated as
+    sum_{i < l} w_i w_l (a_i b_l - a_l b_i)^2 over orbit representatives
+    with orbit sizes w, one pair at a time in a fixed order.  Nonnegative
+    pointwise by construction, equal as a polynomial to the evaluated
+    symbolic determinant, and a point's value does not depend on the
+    batch it is in.  Accepts one point (d,) or a batch (N, d).
     """
-    _check_k(pair, k)
-    pts, single = as_points(xi, pair.dim)
-    A, B = _derivative_values(pair, k, pts)
-    p = A.shape[1]
-    out = np.empty(pts.shape[0])
-    block = max(1, (1 << 21) // (p * p))  # bound transient (rows, p, p) arrays
-    for lo in range(0, pts.shape[0], block):
-        a = A[lo : lo + block]
-        b = B[lo : lo + block]
-        minors = a[:, :, None] * b[:, None, :] - a[:, None, :] * b[:, :, None]
-        out[lo : lo + block] = 0.5 * np.einsum("nij,nij->n", minors, minors)
+    a, b, w, single = _orbit_coordinates(pair, k, xi)
+    out = np.zeros(a.shape[1])
+    for i in range(len(w)):
+        for l in range(i + 1, len(w)):
+            minor = a[i] * b[l] - a[l] * b[i]
+            out += (w[i] * w[l]) * (minor * minor)
     return float(out[0]) if single else out
 
 
 def det_gram_eval(pair: MalliavinPair, k: int, xi):
     """2x2 determinant of the evaluated Gram entries (debug cross-check).
 
-    Agrees with :func:`sum_of_squares_eval` as a polynomial but is not
-    guaranteed nonnegative under rounding.
+    (sum w a^2)(sum w b^2) - (sum w a b)^2 on the orbit-representative
+    coordinates of :func:`sum_of_squares_eval`, summed in a fixed order.
+    Agrees with it as a polynomial but is not guaranteed nonnegative
+    under rounding.
     """
-    _check_k(pair, k)
-    pts, single = as_points(xi, pair.dim)
-    A, B = _derivative_values(pair, k, pts)
-    det = (A * A).sum(axis=1) * (B * B).sum(axis=1) - (A * B).sum(axis=1) ** 2
+    a, b, w, single = _orbit_coordinates(pair, k, xi)
+    aa, ab, bb = (np.zeros(a.shape[1]) for _ in range(3))
+    for i in range(len(w)):
+        aa += w[i] * (a[i] * a[i])
+        ab += w[i] * (a[i] * b[i])
+        bb += w[i] * (b[i] * b[i])
+    det = aa * bb - ab * ab
     return float(det[0]) if single else det
 
 

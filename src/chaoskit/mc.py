@@ -6,10 +6,13 @@ key, and normals are produced by the Box-Muller transform (a fixed two
 uniforms per pair of normals).  Results are therefore bit-identical for
 a given (seed, index) no matter how samples are sharded or ordered.
 
+A sample's value depends only on its point, never on the chunk it is
+evaluated in (pointwise evaluation sums in a fixed order, without BLAS).
 Reductions accumulate fixed-size chunks in index order, so an estimate
 depends only on (seed, n_samples); the variance merges per-chunk means
 and squared deviations, which stays accurate when the mean is large
-against the spread.
+against the spread.  Seeds must lie in [0, 2**128): the Philox key holds
+128 bits, so larger seeds would repeat smaller ones.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ DEFAULT_SAMPLES = 100_000
 CHUNK_SAMPLES = 8192
 
 _MASK64 = (1 << 64) - 1
+# Philox keys hold 128 bits: seeds s and s + 2**128 would draw the same samples
+_SEED_BOUND = 1 << 128
 _WORDS_PER_BLOCK = 4  # Philox-4x64
 
 
@@ -82,8 +87,8 @@ def sample_gaussian_block(dim: int, seed: int, start: int, count: int) -> np.nda
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    if not 0 <= seed < _SEED_BOUND:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
     if start < 0 or count < 0:
         raise ValueError("start and count must be >= 0")
     if count == 0:

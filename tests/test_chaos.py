@@ -1,5 +1,6 @@
 """Unit tests for chaos-expansion arithmetic."""
 
+import itertools
 import math
 
 import numpy as np
@@ -197,7 +198,43 @@ class TestDivergence:
             divergence(u)
 
 
+def hermite_reference(F, x):
+    """Oracle: sum over every multi-index j of f_j prod_i H_{m_i(j)}(x_i)."""
+    total = 0.0
+    for k, t in F.terms.items():
+        for j in itertools.product(range(F.dim), repeat=k):
+            term = t.coeffs[j]
+            for i in range(F.dim):
+                term *= hermite(j.count(i), x[i])
+            total += term
+    return total
+
+
+def _mixed_expansion(d, orders, seed):
+    F = ChaosExpansion.constant(d, 0.25 + seed)
+    for q in orders:
+        F = F + I(random_symmetric(d, q, 10 * seed + q))
+    return F
+
+
 class TestEvaluate:
+    @pytest.mark.parametrize("d, orders", [(1, (1, 4)), (2, (1, 2, 5)), (3, (2, 3)), (4, (1, 3))])
+    def test_matches_hermite_reference(self, d, orders):
+        F = _mixed_expansion(d, orders, d)
+        pts = np.random.default_rng(d).standard_normal((6, d))
+        out = evaluate(F, pts)
+        for x, v in zip(pts, out):
+            assert v == pytest.approx(hermite_reference(F, x), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("d, orders", [(1, (3,)), (2, (1, 2, 5)), (3, (2, 4))])
+    def test_rows_independent_of_batch(self, d, orders):
+        F = _mixed_expansion(d, orders, d + 1)
+        pts = np.random.default_rng(d + 1).standard_normal((11, d))
+        out = evaluate(F, pts)
+        for i in range(len(pts)):
+            assert out[i] == evaluate(F, pts[i])
+        assert np.array_equal(out[2:9], evaluate(F, pts[2:9]))
+
     def test_hermite_second_order(self):
         F = I(basis_tensor(2, (0, 0)))
         assert evaluate(F, np.array([2.0, 0.0])) == pytest.approx(3.0)  # 4 - 1

@@ -198,6 +198,16 @@ class TestMc:
         code, _, _ = run(capsys, "mc", "--pair", str(anchor_file), "--k", "9")
         assert code == 2
 
+    def test_seed_range(self, anchor_file, capsys):
+        # Philox keeps 128 key bits, so 2**128 would replay seed 0
+        argv = ("mc", "--pair", str(anchor_file), "--k", "1", "--samples", "100", "--seed")
+        code, out, err = run(capsys, *argv, str(2**128))
+        assert code == 2 and out == ""
+        assert "--seed" in err
+        code, out, _ = run(capsys, *argv, str(2**128 - 1))
+        assert code == 0
+        assert json.loads(out)["estimate"]["seed"] == 2**128 - 1
+
 
 class TestSweep:
     def test_order_two(self, capsys):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
-from chaoskit.chaos import evaluate, expectation
+from chaoskit.chaos import ChaosExpansion, derivative, evaluate, expectation
 from chaoskit.malliavin import (
     ContractionTable,
     MalliavinPair,
@@ -82,6 +82,27 @@ class TestPairValidation:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             MalliavinPair(basis_vector(2, 0), basis_vector(3, 0))
+
+    @pytest.mark.parametrize("side", ["f", "g"])
+    def test_rejects_non_finite(self, side):
+        from chaoskit.tensor import Tensor
+
+        bad = Tensor(2, 1, [1, float("nan")], symmetric=True)
+        good = basis_vector(2, 1)
+        f, g = (bad, good) if side == "f" else (good, bad)
+        with pytest.raises(ValueError, match=f"component {side} has non-finite"):
+            MalliavinPair(f, g)
+
+    def test_non_finite_pair_gets_no_verdict(self):
+        # used to return ABSOLUTELY_CONTINUOUS with cov_det = nan
+        from chaoskit.tensor import Tensor
+
+        with pytest.raises(ValueError):
+            density_check(
+                MalliavinPair(
+                    Tensor(2, 1, [1, float("nan")], symmetric=True), basis_vector(2, 1)
+                )
+            )
 
     def test_random_pair_reproducible(self):
         a = random_pair(2, 2, 3, 99)
@@ -179,6 +200,56 @@ class TestSumOfSquares:
         a = sum_of_squares_eval(pair, 1, pts)
         b = det_gram_eval(pair, 1, pts)
         assert np.allclose(a, b, rtol=1e-9, atol=1e-9)
+
+
+def full_minor_form(pair, k, pts):
+    """Oracle: 1/2 sum_{i,l} (A_i B_l - A_l B_i)^2 over all d^k multi-indices."""
+    idx = list(itertools.product(range(pair.dim), repeat=k))
+    dF, dG = (derivative(ChaosExpansion.integral(t), k) for t in (pair.f, pair.g))
+    A = np.stack([evaluate(dF[i], pts) for i in idx], axis=1)
+    B = np.stack([evaluate(dG[i], pts) for i in idx], axis=1)
+    minors = A[:, :, None] * B[:, None, :] - A[:, None, :] * B[:, :, None]
+    return 0.5 * np.einsum("nij,nij->n", minors, minors)
+
+
+# (d, n, m, k): d = 1 (one orbit, no pairs), unequal orders, k = 1, and
+# k = min(n, m), where one side's coordinates are order-0 constants
+_ORBIT_CASES = [
+    (1, 3, 2, 1), (1, 2, 2, 2), (2, 4, 2, 2), (3, 3, 1, 1), (2, 5, 3, 3),
+    (3, 3, 3, 3), (3, 4, 4, 2), (3, 6, 6, 3), (4, 2, 3, 1), (4, 4, 4, 2),
+]
+
+
+class TestOrbitWeightedRoute:
+    @pytest.mark.parametrize("d, n, m, k", _ORBIT_CASES)
+    def test_matches_full_minor_form(self, d, n, m, k):
+        pair = random_pair(d, n, m, 1000 + 100 * d + 10 * n + m)
+        pts = np.random.default_rng(k).standard_normal((25, d))
+        sos = sum_of_squares_eval(pair, k, pts)
+        assert np.all(sos >= 0)
+        if d == 1:
+            assert np.all(sos == 0.0)
+        else:
+            np.testing.assert_allclose(sos, full_minor_form(pair, k, pts), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("d, n, m, k", _ORBIT_CASES)
+    def test_rows_independent_of_batch(self, d, n, m, k):
+        pair = random_pair(d, n, m, 2000 + d + n + m)
+        pts = np.random.default_rng(5).standard_normal((9, d))
+        sos = sum_of_squares_eval(pair, k, pts)
+        gram = det_gram_eval(pair, k, pts)
+        for i in range(len(pts)):
+            assert sos[i] == sum_of_squares_eval(pair, k, pts[i])
+            assert gram[i] == det_gram_eval(pair, k, pts[i])
+        assert np.array_equal(sos[3:7], sum_of_squares_eval(pair, k, pts[3:7]))
+
+    @pytest.mark.parametrize("d, n, m, k", _ORBIT_CASES)
+    def test_gram_form_agrees(self, d, n, m, k):
+        pair = random_pair(d, n, m, 3000 + d + n + m)
+        pts = np.random.default_rng(6).standard_normal((25, d))
+        sos = sum_of_squares_eval(pair, k, pts)
+        gram = det_gram_eval(pair, k, pts)
+        np.testing.assert_allclose(gram, sos, rtol=1e-9, atol=1e-9 * max(1.0, float(np.max(sos))))
 
 
 class TestClosedFormTerms:

@@ -70,6 +70,23 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample_gaussian(2, 1, -1)
 
+    def test_seed_must_fit_the_128_bit_key(self):
+        # Philox keeps 128 key bits: 2**128 would alias seed 0
+        with pytest.raises(ValueError, match="2\\*\\*128"):
+            sample_gaussian_block(2, 2**128, 0, 4)
+        top = sample_gaussian_block(2, 2**128 - 1, 0, 4)
+        assert top.shape == (4, 2) and np.all(np.isfinite(top))
+        assert not np.array_equal(top, sample_gaussian_block(2, 0, 0, 4))
+
+    def test_estimators_reject_aliasing_seed(self):
+        F = ChaosExpansion.integral(basis_vector(2, 0))
+        with pytest.raises(ValueError):
+            estimate_expected_det(worked_pair(), 1, n_samples=100, seed=2**128)
+        with pytest.raises(ValueError):
+            estimate_moment(F, 1, n_samples=100, seed=2**128)
+        assert estimate_expected_det(worked_pair(), 1, n_samples=100, seed=2**128 - 1).samples == 100
+        assert estimate_moment(F, 1, n_samples=100, seed=2**128 - 1).samples == 100
+
 
 class TestEstimateExpectedDet:
     def test_equal_components_give_zero(self):
