@@ -31,7 +31,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .tensor import Tensor, contract, inner, orbit_info, slice_tensor, symmetrize
+from .tensor import Tensor, _orbit_average, inner, orbit_info, slice_tensor, symmetrize
 
 __all__ = [
     "ChaosExpansion",
@@ -198,31 +198,49 @@ def _require_same_dim(a, b) -> None:
 # -- product, expectation, inner product -----------------------------------
 
 
+def _product(
+    acc: dict[int, np.ndarray], x: np.ndarray, y: np.ndarray, n: int, m: int, lead: int
+) -> None:
+    """Add the product formula of order-n x by order-m y into acc.
+
+    ``x`` and ``y`` are symmetric in their trailing n and m axes and share
+    ``lead`` leading axes, which are summed over: acc[n+m-2r] gains
+    r! C(n,r) C(m,r) sym(sum over the leading axes of x x_r y) for every r.
+    With lead = 0 this is the product I_n(x) I_m(y).
+    """
+    if n + m > FACTORIAL_CAP:
+        raise CoefficientCapError(
+            f"product of orders {n} and {m} needs factorial arguments "
+            f"up to {n + m}, above the cap {FACTORIAL_CAP}"
+        )
+    for r in range(min(n, m) + 1):
+        coeff = math.factorial(r) * math.comb(n, r) * math.comb(m, r)
+        axes = tuple(range(lead + r))
+        term = np.tensordot(x, y, axes=(axes, axes)) if axes else np.multiply.outer(x, y)
+        k = n + m - 2 * r
+        if min(n, m) > r:  # both operands keep free slots: not symmetric yet
+            term = _orbit_average(term, x.shape[-1], k)
+        acc[k] = acc[k] + float(coeff) * term if k in acc else float(coeff) * term
+
+
+def _expansion(dim: int, acc: Mapping[int, np.ndarray]) -> ChaosExpansion:
+    """The chaos expansion with the nonzero coefficient arrays of acc."""
+    terms = {
+        k: Tensor(dim, k, arr, symmetric=True)
+        for k, arr in acc.items()
+        if np.any(arr)
+    }
+    return ChaosExpansion(dim, terms)
+
+
 def multiply(F: ChaosExpansion, G: ChaosExpansion) -> ChaosExpansion:
     """Product of two chaos expansions via the multiple-integral product formula."""
     _require_same_dim(F, G)
     acc: dict[int, np.ndarray] = {}
     for n, f in F.terms.items():
         for m, g in G.terms.items():
-            if n + m > FACTORIAL_CAP:
-                raise CoefficientCapError(
-                    f"product of orders {n} and {m} needs factorial arguments "
-                    f"up to {n + m}, above the cap {FACTORIAL_CAP}"
-                )
-            for r in range(min(n, m) + 1):
-                coeff = math.factorial(r) * math.comb(n, r) * math.comb(m, r)
-                term = symmetrize(contract(f, g, r))
-                k = n + m - 2 * r
-                if k in acc:
-                    acc[k] = acc[k] + float(coeff) * term.coeffs
-                else:
-                    acc[k] = float(coeff) * term.coeffs
-    terms = {
-        k: Tensor(F.dim, k, arr, symmetric=True)
-        for k, arr in acc.items()
-        if np.any(arr)
-    }
-    return ChaosExpansion(F.dim, terms)
+            _product(acc, f.coeffs, g.coeffs, n, m, 0)
+    return _expansion(F.dim, acc)
 
 
 def expectation(F: ChaosExpansion) -> float:

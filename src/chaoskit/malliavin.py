@@ -8,7 +8,11 @@ For (F, G) = (I_n(f), I_m(g)) the k-th iterated Malliavin matrix is the
 
 and this module computes its determinant three independent ways:
 
-* symbolically, as exact chaos arithmetic on the Gram entries;
+* symbolically, as exact chaos arithmetic on the Gram entries: the
+  derivative coordinates at the permutation-orbit representatives are
+  stacked and multiplied by the product formula (one contraction over
+  the representative axis per r), and E det is read off by chaos
+  orthogonality;
 * pointwise, as half the sum of squared 2x2 minors of the derivative
   coordinates (manifestly nonnegative), summed over permutation-orbit
   representatives with orbit-size weights from one Hermite table per
@@ -19,6 +23,11 @@ and this module computes its determinant three independent ways:
   :class:`ContractionTable` of the C_r = f x_r g.  This is the
   production route; :func:`tr_term_direct` and ``tensor.hat_contract``
   are oracles for the tests and ``verify`` only.
+
+The oracles are batched but stay independent of the closed form: the
+symbolic route is chaos arithmetic on derivative coordinates, and
+:func:`tr_term_direct` contracts slices of f with slices of g; neither
+reads the table's norms, hat contractions or T_0/T_r identities.
 
 It also provides the covariance determinant
 det C = n!^2 (||f||^2 ||g||^2 - <f, g>^2), the inequality bounding
@@ -34,7 +43,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import product as iter_product
 from typing import Optional
 
 import numpy as np
@@ -42,24 +50,17 @@ import numpy as np
 from .chaos import (
     ChaosExpansion,
     _accumulate,
+    _expansion,
     _hermite_table,
     _monomials,
+    _product,
     as_points,
     checked_factorial,
     checked_perm,
-    derivative,
     l2_inner,
     multiply,
 )
-from .tensor import (
-    Tensor,
-    contract,
-    inner,
-    orbit_info,
-    random_symmetric,
-    slice_tensor,
-    symmetrize,
-)
+from .tensor import Tensor, _orbit_average, contract, inner, orbit_info, random_symmetric
 
 __all__ = [
     "CombinatorialCoeffs",
@@ -206,26 +207,28 @@ def gram_chaos(
 ) -> tuple[ChaosExpansion, ChaosExpansion, ChaosExpansion]:
     """(||D^k F||^2, <D^k F, D^k G>, ||D^k G||^2) as exact chaos expansions.
 
-    Built by multiplying derivative coordinates and summing over all
-    k-multi-indices; coordinates that coincide by permutation symmetry
-    are multiplied once and weighted by their orbit size.
+    The coordinate of D^k I_n(f) at multi-index j is n!/(n-k)! I_{n-k}(f_j),
+    f_j the slice of f at j, and coordinates are equal within a
+    permutation orbit.  So the coordinates at the p orbit representatives
+    are stacked, (p, d, ..., d) per component, one side is weighted by
+    orbit size, and each Gram entry is the product formula summed over
+    the representative axis: for every r one tensordot over that axis
+    plus r slots, then one symmetrization.  Independent of the closed
+    form: it is chaos arithmetic on the coordinates, with no contraction
+    norm, hat contraction or T_r identity.
     """
     _check_k(pair, k)
-    d = pair.dim
-    dF = derivative(ChaosExpansion.integral(pair.f), k)
-    dG = derivative(ChaosExpansion.integral(pair.g), k)
-    info = orbit_info(d, k)
-    a = ChaosExpansion.zero(d)
-    b = ChaosExpansion.zero(d)
-    c = ChaosExpansion.zero(d)
-    for rep, count in zip(info.reps, info.counts):
-        idx = tuple(int(j) for j in rep)
-        eF, eG = dF[idx], dG[idx]
-        w = float(count)
-        a = a + w * multiply(eF, eF)
-        b = b + w * multiply(eF, eG)
-        c = c + w * multiply(eG, eG)
-    return a, b, c
+    info = orbit_info(pair.dim, k)
+    reps = tuple(info.reps.T)
+    x, y = (float(checked_perm(t.order, k)) * t.coeffs[reps] for t in (pair.f, pair.g))
+    qx, qy = pair.n - k, pair.m - k
+    w = info.counts.astype(np.float64)
+    entries = []
+    for u, qu, v, qv in ((x, qx, x, qx), (x, qx, y, qy), (y, qy, y, qy)):
+        acc: dict[int, np.ndarray] = {}
+        _product(acc, w.reshape((-1,) + (1,) * qu) * u, v, qu, qv, 1)
+        entries.append(_expansion(pair.dim, acc))
+    return tuple(entries)
 
 
 def det_chaos(pair: MalliavinPair, k: int) -> ChaosExpansion:
@@ -403,24 +406,27 @@ def tr_term_direct(pair: MalliavinPair, k: int, r: int) -> float:
 
     1/2 alpha(k, r) * sum over all pairs (i, l) of k-multi-indices of
     || sym(f_i x_r g_l) - sym(f_l x_r g_i) ||^2, where f_i is the slice
-    of f at i.  Valid for r = 0 too, where it equals t0_term.  An oracle
+    of f at i.  Every S[i, l] = sym(f_i x_r g_l) comes from one tensordot
+    of f and g reshaped to (d^k, d, ..., d) and one batched
+    symmetrization, and the sum is 1/2 alpha ||S - S^T||^2 with S^T
+    swapping i and l.  Independent of tr_term: the slices are contracted
+    with each other, never reduced to the norms and hat contractions of
+    the table.  Valid for r = 0 too, where it equals t0_term.  An oracle
     for the tests and ``verify`` only; no production route uses it.
     """
     _check_k(pair, k)
-    n, m, f, g = pair.n, pair.m, pair.f, pair.g
+    n, m, d = pair.n, pair.m, pair.dim
     if not 0 <= r <= min(n - k, m - k):
         raise ValueError(f"r = {r} out of range [0, {min(n - k, m - k)}]")
-    alpha = _alpha(n, m, k, r)
-    d = pair.dim
-    total = 0.0
-    indices = list(iter_product(range(d), repeat=k))
-    for i in indices:
-        fi, gi = slice_tensor(f, i), slice_tensor(g, i)
-        for l in indices:
-            fl, gl = slice_tensor(f, l), slice_tensor(g, l)
-            diff = symmetrize(contract(fi, gl, r)) - symmetrize(contract(fl, gi, r))
-            total += inner(diff, diff)
-    return 0.5 * float(alpha) * total
+    qf, qg = n - k - r, m - k - r
+    fs, gs = (t.coeffs.reshape((d**k,) + t.coeffs.shape[k:]) for t in (pair.f, pair.g))
+    axes = tuple(range(1, r + 1))
+    # (i, f slots, l, g slots) -> (i, l, f slots, g slots)
+    s = np.moveaxis(np.tensordot(fs, gs, axes=(axes, axes)), 1 + qf, 1)
+    if min(qf, qg) > 0:  # both slices keep free slots: not symmetric yet
+        s = _orbit_average(s, d, qf + qg)
+    diff = s - s.swapaxes(0, 1)
+    return 0.5 * float(_alpha(n, m, k, r)) * float(np.vdot(diff, diff))
 
 
 def expected_dets(pair: MalliavinPair) -> tuple[float, ...]:

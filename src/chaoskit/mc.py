@@ -26,7 +26,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .chaos import ChaosExpansion, evaluate
-from .malliavin import MalliavinPair, sum_of_squares_eval
+from .malliavin import MalliavinPair, _check_k, sum_of_squares_eval
 
 __all__ = [
     "CHUNK_SAMPLES",
@@ -79,6 +79,17 @@ def _raw_words(seed: int, first_word: int, n_words: int) -> np.ndarray:
     return words[offset : offset + n_words]
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < _SEED_BOUND:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+
+
+def _check_run(n_samples: int, seed: int) -> None:
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
+    _check_seed(seed)
+
+
 def sample_gaussian_block(dim: int, seed: int, start: int, count: int) -> np.ndarray:
     """Standard normal vectors for sample indices [start, start + count).
 
@@ -87,8 +98,7 @@ def sample_gaussian_block(dim: int, seed: int, start: int, count: int) -> np.nda
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    if not 0 <= seed < _SEED_BOUND:
-        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+    _check_seed(seed)
     if start < 0 or count < 0:
         raise ValueError("start and count must be >= 0")
     if count == 0:
@@ -116,8 +126,7 @@ def sample_gaussian(dim: int, seed: int, index: int) -> np.ndarray:
 
 
 def _run_estimator(values_for_block, n_samples: int, seed: int, dump) -> Estimate:
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
+    _check_run(n_samples, seed)
     total = 0.0
     # (count, mean, M2) merged chunk by chunk in index order (Chan, Golub &
     # LeVeque): sum(x^2) - n mean^2 cancels when the mean dwarfs the spread
@@ -158,8 +167,11 @@ def estimate_expected_det(
 
     Averages the pointwise squared-minor form, whose samples are all
     nonnegative, so the mean is too.  ``dump_path`` optionally writes the
-    raw samples as CSV rows (index, value).
+    raw samples as CSV rows (index, value); the file is opened only
+    after k, n_samples and seed are checked.
     """
+    _check_k(pair, k)
+    _check_run(n_samples, seed)
 
     def block(start: int, count: int) -> np.ndarray:
         xi = sample_gaussian_block(pair.dim, seed, start, count)

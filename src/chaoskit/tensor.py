@@ -197,33 +197,43 @@ def orbit_info(dim: int, order: int) -> OrbitInfo:
     )
 
 
+def _orbit_average(arr: np.ndarray, dim: int, order: int) -> np.ndarray:
+    """Average over index permutations of the trailing ``order`` axes of arr.
+
+    Leading axes are a batch: each leading position is averaged on its
+    own, with the same summation order as an unbatched call, so a batch
+    row equals the average of that row alone.  Order <= 1 is returned
+    as is.
+    """
+    if order <= 1:
+        return arr
+    info = orbit_info(dim, order)
+    n_rows, n_orbits = arr.size // dim**order, len(info.counts)
+    bins = info.inverse
+    if n_rows > 1:  # one bin per (row, orbit)
+        bins = (np.arange(n_rows)[:, None] * n_orbits + bins).ravel()
+    sums = np.bincount(bins, weights=arr.ravel(), minlength=n_rows * n_orbits)
+    return (sums.reshape(n_rows, n_orbits) / info.counts).ravel()[bins].reshape(arr.shape)
+
+
 def symmetrize(f: Tensor) -> Tensor:
     """Average of f over all permutations of its indices.
 
     A projection: idempotent, linear, norm non-increasing, and the
     identity on symmetric inputs.
     """
-    if f.order <= 1 or f.symmetric:
-        if f.symmetric:
-            return f
-        return Tensor(f.dim, f.order, f.coeffs, symmetric=True)
-    info = orbit_info(f.dim, f.order)
-    flat = f.coeffs.ravel()
-    sums = np.bincount(info.inverse, weights=flat, minlength=len(info.counts))
-    out = (sums / info.counts)[info.inverse].reshape(f.coeffs.shape)
-    return Tensor(f.dim, f.order, out, symmetric=True)
+    if f.symmetric:
+        return f
+    return Tensor(f.dim, f.order, _orbit_average(f.coeffs, f.dim, f.order), symmetric=True)
 
 
 def is_symmetric(f: Tensor, tol: float = 1e-12) -> bool:
     """Exhaustive numeric symmetry check (relative to the largest entry)."""
     if f.order <= 1:
         return True
-    info = orbit_info(f.dim, f.order)
-    flat = f.coeffs.ravel()
-    means = np.bincount(info.inverse, weights=flat, minlength=len(info.counts))
-    means /= info.counts
-    scale = max(1.0, float(np.max(np.abs(flat))) if flat.size else 0.0)
-    return bool(np.max(np.abs(flat - means[info.inverse])) <= tol * scale)
+    c = f.coeffs
+    scale = max(1.0, float(np.max(np.abs(c))) if c.size else 0.0)
+    return bool(np.max(np.abs(c - _orbit_average(c, f.dim, f.order))) <= tol * scale)
 
 
 # -- products and contractions --------------------------------------------

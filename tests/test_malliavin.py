@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
-from chaoskit.chaos import ChaosExpansion, derivative, evaluate, expectation
+from chaoskit import verify
+from chaoskit.chaos import ChaosExpansion, derivative, evaluate, expectation, multiply
 from chaoskit.malliavin import (
     ContractionTable,
     MalliavinPair,
@@ -41,7 +42,9 @@ from chaoskit.tensor import (
     contract,
     hat_contract,
     inner,
+    orbit_info,
     random_symmetric,
+    slice_tensor,
     symmetrize,
 )
 
@@ -396,6 +399,128 @@ class TestContractionTable:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+def gram_chaos_loop(pair, k):
+    """Oracle: one chaos product per orbit representative, weighted by
+    orbit size (the per-representative form of gram_chaos)."""
+    d = pair.dim
+    dF = derivative(ChaosExpansion.integral(pair.f), k)
+    dG = derivative(ChaosExpansion.integral(pair.g), k)
+    info = orbit_info(d, k)
+    a, b, c = (ChaosExpansion.zero(d) for _ in range(3))
+    for rep, count in zip(info.reps, info.counts):
+        idx = tuple(int(j) for j in rep)
+        eF, eG, w = dF[idx], dG[idx], float(count)
+        a = a + w * multiply(eF, eF)
+        b = b + w * multiply(eF, eG)
+        c = c + w * multiply(eG, eG)
+    return a, b, c
+
+
+def tr_term_direct_loop(pair, k, r):
+    """Oracle: the squared-minor form of T_r, one slice pair (i, l) at a time."""
+    f, g = pair.f, pair.g
+    alpha = combinatorial_coefficients(pair.n, pair.m, k, r, 0).alpha
+    indices = list(itertools.product(range(pair.dim), repeat=k))
+    total = 0.0
+    for i in indices:
+        fi, gi = slice_tensor(f, i), slice_tensor(g, i)
+        for l in indices:
+            fl, gl = slice_tensor(f, l), slice_tensor(g, l)
+            diff = symmetrize(contract(fi, gl, r)) - symmetrize(contract(fl, gi, r))
+            total += inner(diff, diff)
+    return 0.5 * float(alpha) * total
+
+
+# d = 1..4, equal and unequal orders, every k (so k = min(n, m), where
+# one side's coordinates are order-0 constants), plus proportional pairs
+_STACKED_CASES = [
+    random_pair(d, n, m, 400 + 100 * d + 10 * n + m)
+    for d, n, m in (
+        (1, 2, 3), (1, 4, 4), (2, 1, 1), (2, 2, 2), (2, 3, 5), (2, 5, 5),
+        (3, 2, 4), (3, 3, 3), (3, 4, 4), (3, 4, 1), (4, 2, 2), (4, 3, 2), (4, 4, 4),
+    )
+] + [
+    MalliavinPair(f, f.scaled(c))
+    for f, c in ((random_symmetric(2, 3, 470), -0.75), (random_symmetric(3, 4, 471), 2.5))
+]
+
+
+_STACKED_IDS = [f"d{p.dim}_n{p.n}_m{p.m}" for p in _STACKED_CASES[:-2]] + [
+    "proportional_d2_n3",
+    "proportional_d3_n4",
+]
+
+
+class TestStackedOracles:
+    """The stacked gram_chaos and tr_term_direct against their loop forms."""
+
+    @pytest.mark.parametrize("pair", _STACKED_CASES, ids=_STACKED_IDS)
+    def test_gram_chaos_matches_loop(self, pair):
+        for k in range(1, min(pair.n, pair.m) + 1):
+            for got, want in zip(gram_chaos(pair, k), gram_chaos_loop(pair, k)):
+                assert set(got.terms) == set(want.terms)
+                for q, t in want.terms.items():
+                    # entries that cancel to ~0 are held to the array's scale
+                    np.testing.assert_allclose(
+                        got.terms[q].coeffs, t.coeffs, rtol=1e-12,
+                        atol=1e-12 * float(np.max(np.abs(t.coeffs))),
+                    )
+
+    # the loop visits d^(2k) slice pairs: keep d^(n+m) <= 3^8
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            pytest.param(p, id=i)
+            for p, i in zip(_STACKED_CASES, _STACKED_IDS)
+            if p.dim ** (p.n + p.m) <= 3**8
+        ],
+    )
+    def test_tr_term_direct_matches_loop(self, pair):
+        scale = verify._det_scale(pair)
+        for k in range(1, min(pair.n, pair.m) + 1):
+            for r in range(min(pair.n - k, pair.m - k) + 1):
+                assert tr_term_direct(pair, k, r) == pytest.approx(
+                    tr_term_direct_loop(pair, k, r), rel=1e-12, abs=1e-12 * scale
+                )
+
+
+def _term_nonnegativity_loop(cfg):
+    """check_term_nonnegativity's worst deviation and failures read through
+    expected_det_closed_form, one breakdown per k."""
+    rec = verify._Recorder(1e-10)
+    for i in range(cfg.trials):
+        seed, _, d, n, m = verify._draw(cfg, 23, i, cfg.max_order)
+        pair = random_pair(d, n, m, seed)
+        scale = verify._det_scale(pair)
+        for k in range(1, min(n, m) + 1):
+            b = expected_det_closed_form(pair, k)
+            for r, v in enumerate(b.tr, start=1):
+                rec.add(max(-v, 0.0) / scale, f"T_{r} d={d} n={n} m={m} k={k} seed={seed}")
+            rec.add(max(-b.t0, 0.0) / scale, f"T_0 d={d} n={n} m={m} k={k} seed={seed}")
+            rec.add(
+                max(-b.closed_form, 0.0) / scale,
+                f"closed d={d} n={n} m={m} k={k} seed={seed}",
+            )
+    return rec.worst, rec.failures
+
+
+class TestTermNonnegativityCheck:
+    def test_never_runs_the_symbolic_oracle(self, monkeypatch):
+        def refuse(pair, k):
+            raise AssertionError("expected_det_chaos called")
+
+        monkeypatch.setattr("chaoskit.malliavin.expected_det_chaos", refuse)
+        assert verify.check_term_nonnegativity(verify.VerifyConfig(seed=7)).passed
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_observed_matches_breakdown_route(self, seed):
+        cfg = verify.VerifyConfig(seed=seed)
+        res = verify.check_term_nonnegativity(cfg)
+        worst, failures = _term_nonnegativity_loop(cfg)
+        assert res.observed.hex() == worst.hex()
+        assert res.failures == failures[:10]
 
 
 class TestCovDet:

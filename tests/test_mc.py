@@ -152,6 +152,21 @@ class TestEstimateExpectedDet:
         values = np.array([float(line.split(",")[1]) for line in lines[1:]])
         assert float(values.mean()) == pytest.approx(est.mean, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "k, n_samples, seed",
+        [(5, 100, 0), (0, 100, 0), (1, 1, 0), (1, 100, 2**128), (1, 100, -1)],
+        ids=["k_above_order", "k_zero", "one_sample", "seed_2_128", "negative_seed"],
+    )
+    def test_bad_arguments_leave_dump_untouched(self, tmp_path, k, n_samples, seed):
+        # the file used to be truncated to its header before the arguments were checked
+        path = tmp_path / "samples.csv"
+        path.write_bytes(b"earlier run\n0,1.5\n")
+        with pytest.raises(ValueError):
+            estimate_expected_det(
+                worked_pair(), k, n_samples=n_samples, seed=seed, dump_path=path
+            )
+        assert path.read_bytes() == b"earlier run\n0,1.5\n"
+
 
 class TestEstimateMoment:
     def test_centered_first_moment(self):
