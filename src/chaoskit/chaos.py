@@ -31,7 +31,15 @@ from typing import Mapping
 
 import numpy as np
 
-from .tensor import Tensor, _orbit_average, inner, orbit_info, slice_tensor, symmetrize
+from .tensor import (
+    Tensor,
+    _orbit_average,
+    _orbit_sums,
+    inner,
+    orbit_info,
+    slice_tensor,
+    symmetrize,
+)
 
 __all__ = [
     "ChaosExpansion",
@@ -402,9 +410,6 @@ def evaluate(F: ChaosExpansion, xi):
     if F.terms:
         table = _hermite_table(F.max_order(), pts)
         for k, t in F.terms.items():
-            info = orbit_info(F.dim, k)
-            orbit_sums = np.bincount(
-                info.inverse, weights=t.coeffs.ravel(), minlength=len(info.counts)
-            )
-            _accumulate(out, orbit_sums, _monomials(table, k))
+            sums, _ = _orbit_sums(t.coeffs, orbit_info(F.dim, k))
+            _accumulate(out, sums[0], _monomials(table, k))
     return float(out[0]) if single else out

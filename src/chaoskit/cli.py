@@ -1,9 +1,14 @@
 """Command-line front end: verification suites, determinant reports,
 density verdicts, Monte Carlo runs, inequality sweeps, and input generation.
 
-Exit codes: 0 success (all checks passed / report produced), 1 a
-verification check or sweep trial failed or a density report is
-inconsistent, 2 invalid configuration or input file.  Reports are JSON by default, CSV on request; every
+Each subcommand takes only the options it reads: the shared ones
+(``--dim``, ``--seed``, ``--samples``, tolerances, output) are declared
+once in ``_SHARED``, each check is written once in ``_REQUIRE`` and runs
+only where the subcommand has the option, and a subcommand without
+``--seed`` never reads ``CHAOSKIT_SEED``.  Exit codes: 0 success (all
+checks passed / report produced), 1 a verification check or sweep trial
+failed or a density report is inconsistent, 2 invalid configuration or
+input file.  Reports are JSON by default, CSV on request; every
 randomized run records the seeds needed to replay it.
 """
 
@@ -14,9 +19,8 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from io import StringIO
-from typing import Optional
 
 import numpy as np
 
@@ -26,39 +30,38 @@ from .mc import _SEED_BOUND, DEFAULT_SAMPLES, estimate_expected_det
 from .tensor import random_symmetric
 from .verify import SUITES, VerifyConfig, instance_seed, run_suites
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
+
+# the options several subcommands share; each subcommand adds only those it reads
+_SHARED = {
+    "--dim": dict(type=int, default=3, help="basis dimension d"),
+    "--max-order": dict(type=int, default=4, help="largest chaos order"),
+    "--trials": dict(type=int, default=20, help="random instances per check"),
+    "--samples": dict(type=int, default=DEFAULT_SAMPLES, help="Monte Carlo sample count"),
+    "--seed": dict(
+        type=int, default=None, help="base seed (default: CHAOSKIT_SEED env var, else 0)"
+    ),
+    "--tol-rel": dict(type=float, default=1e-9, help="relative tolerance"),
+    "--tol-abs": dict(type=float, default=None, help="absolute tolerance"),
+    "--output": dict(choices=("json", "csv"), default="json"),
+    "-o": dict(dest="out_path", metavar="PATH", default=None),
+}
+
+# parsed option -> (requirement, test), checked where the subcommand has it
+_REQUIRE = {
+    "dim": (">= 1", lambda v: v >= 1),
+    "max_order": (">= 1", lambda v: v >= 1),
+    "trials": (">= 1", lambda v: v >= 1),
+    "samples": (">= 2", lambda v: v >= 2),
+    "seed": ("in [0, 2**128)", lambda v: 0 <= v < _SEED_BOUND),
+    "tol_rel": ("> 0", lambda v: v > 0),
+    "tol_abs": ("> 0", lambda v: v is None or v > 0),
+}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated common options for one CLI invocation."""
-
-    subcommand: str
-    dim: int
-    max_order: int
-    trials: int
-    samples: int
-    seed: int
-    tol_rel: float
-    tol_abs: Optional[float]
-    output: str
-    out_path: Optional[str]
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"--dim must be >= 1, got {self.dim}")
-        if self.max_order < 1:
-            raise ValueError(f"--max-order must be >= 1, got {self.max_order}")
-        if self.trials < 1:
-            raise ValueError(f"--trials must be >= 1, got {self.trials}")
-        if self.samples < 2:
-            raise ValueError(f"--samples must be >= 2, got {self.samples}")
-        if not 0 <= self.seed < _SEED_BOUND:
-            raise ValueError(f"--seed must be in [0, 2**128), got {self.seed}")
-        if self.tol_rel <= 0:
-            raise ValueError(f"--tol-rel must be > 0, got {self.tol_rel}")
-        if self.tol_abs is not None and self.tol_abs <= 0:
-            raise ValueError(f"--tol-abs must be > 0, got {self.tol_abs}")
+def _add_shared(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        p.add_argument(flag, **_SHARED[flag])
 
 
 def _default_seed() -> int:
@@ -71,21 +74,14 @@ def _default_seed() -> int:
         raise ValueError(f"CHAOSKIT_SEED must be an integer, got {raw!r}") from exc
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dim", type=int, default=3, help="basis dimension d")
-    p.add_argument("--max-order", type=int, default=4, help="largest chaos order")
-    p.add_argument("--trials", type=int, default=20, help="random instances per check")
-    p.add_argument("--samples", type=int, default=None, help="Monte Carlo sample count")
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="base seed (default: CHAOSKIT_SEED env var, else 0)",
-    )
-    p.add_argument("--tol-rel", type=float, default=1e-9, help="relative tolerance")
-    p.add_argument("--tol-abs", type=float, default=None, help="absolute tolerance")
-    p.add_argument("--output", choices=("json", "csv"), default="json")
-    p.add_argument("-o", dest="out_path", metavar="PATH", default=None)
+def _validate(args: argparse.Namespace) -> None:
+    """Resolve the default seed, then check each option the subcommand has."""
+    if hasattr(args, "seed") and args.seed is None:
+        args.seed = _default_seed()
+    for dest, (need, ok) in _REQUIRE.items():
+        if hasattr(args, dest) and not ok(getattr(args, dest)):
+            flag = "--" + dest.replace("_", "-")
+            raise ValueError(f"{flag} must be {need}, got {getattr(args, dest)}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -105,27 +101,31 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
         help=f"comma list from {sorted(SUITES)} or 'all'",
     )
-    _add_common(p)
+    _add_shared(
+        p, "--dim", "--max-order", "--trials", "--samples", "--seed", "--tol-rel",
+        "--output", "-o",
+    )
+    p.set_defaults(samples=20000)
 
     p = sub.add_parser("edet", help="expected determinant report for a pair file")
     p.add_argument("--pair", required=True, metavar="FILE")
     p.add_argument("--k", default="all", help="comma list of orders k, or 'all'")
     p.add_argument("--mc", action="store_true", help="attach a Monte Carlo estimate")
-    _add_common(p)
+    _add_shared(p, "--samples", "--seed", "--output", "-o")
 
     p = sub.add_parser("density", help="density/degeneracy verdict for a pair file")
     p.add_argument("--pair", required=True, metavar="FILE")
-    _add_common(p)
+    _add_shared(p, "--tol-abs", "--output", "-o")
 
     p = sub.add_parser("mc", help="Monte Carlo estimate of one expected determinant")
     p.add_argument("--pair", required=True, metavar="FILE")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--dump", metavar="PATH", default=None, help="raw sample CSV dump")
-    _add_common(p)
+    _add_shared(p, "--samples", "--seed", "--output", "-o")
 
     p = sub.add_parser("sweep", help="covariance-inequality sweep over random pairs")
     p.add_argument("--order", type=int, required=True, help="common chaos order n >= 2")
-    _add_common(p)
+    _add_shared(p, "--dim", "--trials", "--seed", "--tol-rel", "--output", "-o")
 
     p = sub.add_parser("gen", help="write a random tensor or pair file")
     p.add_argument("--kind", choices=("pair", "tensor"), default="pair")
@@ -138,31 +138,16 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="C",
         help="write g = C * f instead of an independent draw",
     )
-    _add_common(p)
+    _add_shared(p, "--dim", "--seed", "-o")
     return parser
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        dim=args.dim,
-        max_order=args.max_order,
-        trials=args.trials,
-        samples=args.samples if args.samples is not None else DEFAULT_SAMPLES,
-        seed=args.seed if args.seed is not None else _default_seed(),
-        tol_rel=args.tol_rel,
-        tol_abs=args.tol_abs,
-        output=args.output,
-        out_path=args.out_path,
-    )
 
 
 def _fmt(x) -> str:
     return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
-def _emit(report: dict, rows: list[dict], cfg: RunConfig) -> None:
-    if cfg.output == "json":
+def _emit(report: dict, rows: list[dict], args: argparse.Namespace) -> None:
+    if args.output == "json":
         text = json.dumps(report, indent=2) + "\n"
     else:
         fields: list[str] = []
@@ -176,8 +161,8 @@ def _emit(report: dict, rows: list[dict], cfg: RunConfig) -> None:
         for row in rows:
             writer.writerow({k: _fmt(v) for k, v in row.items()})
         text = buf.getvalue()
-    if cfg.out_path:
-        with open(cfg.out_path, "w") as fh:
+    if args.out_path:
+        with open(args.out_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -187,16 +172,14 @@ def _emit(report: dict, rows: list[dict], cfg: RunConfig) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     suites = [s.strip() for s in args.suite.split(",") if s.strip()]
     vcfg = VerifyConfig(
-        dim=max(cfg.dim, 2),
-        max_order=cfg.max_order,
-        trials=cfg.trials,
-        samples=cfg.samples if args.samples is not None else 20000,
-        seed=cfg.seed,
-        tol_rel=cfg.tol_rel,
-        tol_abs=cfg.tol_abs if cfg.tol_abs is not None else 1e-12,
+        dim=max(args.dim, 2),
+        max_order=args.max_order,
+        trials=args.trials,
+        samples=args.samples,
+        seed=args.seed,
+        tol_rel=args.tol_rel,
     )
     results = run_suites(vcfg, suites)
     passed = all(r.passed for r in results)
@@ -215,12 +198,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "samples": vcfg.samples,
             "seed": vcfg.seed,
             "tol_rel": vcfg.tol_rel,
-            "tol_abs": vcfg.tol_abs,
         },
         "checks": [r.to_dict() for r in results],
         "passed": passed,
     }
-    _emit(report, rows, cfg)
+    _emit(report, rows, args)
     return 0 if passed else 1
 
 
@@ -240,14 +222,13 @@ def _parse_k_list(raw: str, kmax: int) -> list[int]:
 
 
 def _cmd_edet(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     pair = kio.load_pair(args.pair)
     ks = _parse_k_list(args.k, min(pair.n, pair.m))
     results = []
     for k in ks:
         breakdown = mal.expected_det_closed_form(pair, k)
         if args.mc:
-            est = estimate_expected_det(pair, k, n_samples=cfg.samples, seed=cfg.seed)
+            est = estimate_expected_det(pair, k, n_samples=args.samples, seed=args.seed)
             breakdown = replace(breakdown, mc=est)
         results.append(breakdown)
     dicts = [kio.breakdown_to_dict(b) for b in results]
@@ -266,14 +247,13 @@ def _cmd_edet(args: argparse.Namespace) -> int:
         "pair": {"dim": pair.dim, "n": pair.n, "m": pair.m},
         "results": dicts,
     }
-    _emit(report, rows, cfg)
+    _emit(report, rows, args)
     return 0
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     pair = kio.load_pair(args.pair)
-    report = mal.density_check(pair, tol_abs=cfg.tol_abs)
+    report = mal.density_check(pair, tol_abs=args.tol_abs)
     payload = {
         "command": "density",
         "pair": {"dim": pair.dim, "n": pair.n, "m": pair.m},
@@ -296,18 +276,17 @@ def _cmd_density(args: argparse.Namespace) -> int:
         }
         for k, v in enumerate(report.expected_dets, start=1)
     ]
-    _emit(payload, rows, cfg)
+    _emit(payload, rows, args)
     # det C and the E det table disagree on degeneracy: no verdict to trust
     return 0 if report.consistent else 1
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     pair = kio.load_pair(args.pair)
     k = args.k
     closed = mal.expected_det(pair, k)  # validates k
     est = estimate_expected_det(
-        pair, k, n_samples=cfg.samples, seed=cfg.seed, dump_path=args.dump
+        pair, k, n_samples=args.samples, seed=args.seed, dump_path=args.dump
     )
     within = abs(est.mean - closed) <= 4 * est.stderr
     payload = {
@@ -335,22 +314,21 @@ def _cmd_mc(args: argparse.Namespace) -> int:
             "within_4_stderr": within,
         }
     ]
-    _emit(payload, rows, cfg)
+    _emit(payload, rows, args)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     n = args.order
     if n < 2:
         raise ValueError(f"--order must be >= 2 for the inequality sweep, got {n}")
     rows = []
     violations = 0
     min_ratio = float("inf")
-    for trial in range(cfg.trials):
-        seed = instance_seed(cfg.seed, 90, trial)
-        pair = mal.random_pair(cfg.dim, n, n, seed)
-        res = mal.covariance_inequality(pair, tol_rel=cfg.tol_rel)
+    for trial in range(args.trials):
+        seed = instance_seed(args.seed, 90, trial)
+        pair = mal.random_pair(args.dim, n, n, seed)
+        res = mal.covariance_inequality(pair, tol_rel=args.tol_rel)
         ratio = res.lhs / res.rhs if res.rhs > 0 else float("inf")
         min_ratio = min(min_ratio, ratio)
         row = {
@@ -374,32 +352,31 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "command": "sweep",
         "config": {
             "order": n,
-            "dim": cfg.dim,
-            "trials": cfg.trials,
-            "seed": cfg.seed,
-            "tol_rel": cfg.tol_rel,
+            "dim": args.dim,
+            "trials": args.trials,
+            "seed": args.seed,
+            "tol_rel": args.tol_rel,
         },
         "rows": rows,
         "min_ratio": min_ratio,
         "violations": violations,
         "passed": violations == 0,
     }
-    _emit(payload, rows, cfg)
+    _emit(payload, rows, args)
     return 0 if violations == 0 else 1
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    if cfg.out_path is None:
+    if args.out_path is None:
         raise ValueError("gen requires an output path (-o PATH)")
     order = args.order
     if order < 1:
         raise ValueError(f"--order must be >= 1, got {order}")
     if args.kind == "tensor":
-        t = random_symmetric(cfg.dim, order, cfg.seed)
+        t = random_symmetric(args.dim, order, args.seed)
         doc = kio.tensor_to_dict(t)
-        doc["seed"] = cfg.seed
-        with open(cfg.out_path, "w") as fh:
+        doc["seed"] = args.seed
+        with open(args.out_path, "w") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
     else:
@@ -407,16 +384,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if args.proportional is not None:
             if order_g != order:
                 raise ValueError("--proportional requires equal orders for f and g")
-            f = random_symmetric(cfg.dim, order, cfg.seed)
+            f = random_symmetric(args.dim, order, args.seed)
             pair = mal.MalliavinPair(f, f.scaled(args.proportional))
         else:
             if order_g < 1:
                 raise ValueError(f"--order-g must be >= 1, got {order_g}")
-            f = random_symmetric(cfg.dim, order, np.random.SeedSequence([cfg.seed, 0]))
-            g = random_symmetric(cfg.dim, order_g, np.random.SeedSequence([cfg.seed, 1]))
+            f = random_symmetric(args.dim, order, np.random.SeedSequence([args.seed, 0]))
+            g = random_symmetric(args.dim, order_g, np.random.SeedSequence([args.seed, 1]))
             pair = mal.MalliavinPair(f, g)
-        kio.save_pair(pair, cfg.out_path, seed=cfg.seed)
-    sys.stdout.write(json.dumps({"written": cfg.out_path, "seed": cfg.seed}) + "\n")
+        kio.save_pair(pair, args.out_path, seed=args.seed)
+    sys.stdout.write(json.dumps({"written": args.out_path, "seed": args.seed}) + "\n")
     return 0
 
 
@@ -434,6 +411,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _validate(args)
         return _DISPATCH[args.subcommand](args)
     except (kio.SchemaError, ValueError, OSError) as exc:
         print(f"chaoskit {args.subcommand}: error: {exc}", file=sys.stderr)

@@ -60,7 +60,15 @@ from .chaos import (
     l2_inner,
     multiply,
 )
-from .tensor import Tensor, _orbit_average, contract, inner, orbit_info, random_symmetric
+from .tensor import (
+    Tensor,
+    _orbit_average,
+    _orbit_sums,
+    contract,
+    inner,
+    orbit_info,
+    random_symmetric,
+)
 
 __all__ = [
     "CombinatorialCoeffs",
@@ -255,26 +263,22 @@ def _orbit_coordinates(pair: MalliavinPair, k: int, xi):
     each, the orbit sizes w, and whether xi was a single point.
 
     The coordinate of D^k I_n(f) at rep j is n!/(n-k)! I_{n-k}(f_j), f_j
-    the slice of f at j: one row of orbit sums of f_j per rep, applied
-    to monomials from one Hermite table.
+    the slice of f at j: the slices at every rep are stacked, their
+    orbit sums taken in one batch (one row per rep) and scaled after
+    summing, then applied to monomials from one Hermite table.
     """
     _check_k(pair, k)
     pts, single = as_points(xi, pair.dim)
     table = _hermite_table(max(pair.n, pair.m) - k, pts)
     info_k = orbit_info(pair.dim, k)
+    reps = tuple(info_k.reps.T)
     monomials = {q: _monomials(table, q) for q in {pair.n - k, pair.m - k}}
     coords = []
     for f in (pair.f, pair.g):
-        info = orbit_info(pair.dim, f.order - k)
-        sums = np.stack([
-            np.bincount(info.inverse, weights=f.coeffs[tuple(rep)].ravel(),
-                        minlength=len(info.counts))
-            for rep in info_k.reps
-        ])
+        q = f.order - k
+        sums, _ = _orbit_sums(f.coeffs[reps], orbit_info(pair.dim, q))
         out = np.zeros((len(info_k.reps), pts.shape[0]))
-        coords.append(_accumulate(
-            out, float(checked_perm(f.order, k)) * sums, monomials[f.order - k]
-        ))
+        coords.append(_accumulate(out, float(checked_perm(f.order, k)) * sums, monomials[q]))
     return coords[0], coords[1], info_k.counts.astype(np.float64), single
 
 

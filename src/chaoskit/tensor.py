@@ -197,23 +197,34 @@ def orbit_info(dim: int, order: int) -> OrbitInfo:
     )
 
 
-def _orbit_average(arr: np.ndarray, dim: int, order: int) -> np.ndarray:
-    """Average over index permutations of the trailing ``order`` axes of arr.
+def _orbit_sums(arr: np.ndarray, info: OrbitInfo) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of arr over each permutation orbit of its trailing axes.
 
-    Leading axes are a batch: each leading position is averaged on its
-    own, with the same summation order as an unbatched call, so a batch
-    row equals the average of that row alone.  Order <= 1 is returned
-    as is.
+    ``info`` is the ``orbit_info`` of the trailing axes; leading axes are
+    a batch, each row summed on its own in the same order as an
+    unbatched call, so a batch row equals the sums of that row alone.
+    Returns the (rows, n_orbits) sums and the flat bin of each entry of
+    arr, which gathers per-orbit values back to arr's layout.
     """
-    if order <= 1:
-        return arr
-    info = orbit_info(dim, order)
-    n_rows, n_orbits = arr.size // dim**order, len(info.counts)
+    n_rows, n_orbits = arr.size // len(info.inverse), len(info.counts)
     bins = info.inverse
     if n_rows > 1:  # one bin per (row, orbit)
         bins = (np.arange(n_rows)[:, None] * n_orbits + bins).ravel()
     sums = np.bincount(bins, weights=arr.ravel(), minlength=n_rows * n_orbits)
-    return (sums.reshape(n_rows, n_orbits) / info.counts).ravel()[bins].reshape(arr.shape)
+    return sums.reshape(n_rows, n_orbits), bins
+
+
+def _orbit_average(arr: np.ndarray, dim: int, order: int) -> np.ndarray:
+    """Average over index permutations of the trailing ``order`` axes of arr.
+
+    Leading axes are a batch, averaged row by row (see ``_orbit_sums``).
+    Order <= 1 is returned as is.
+    """
+    if order <= 1:
+        return arr
+    info = orbit_info(dim, order)
+    sums, bins = _orbit_sums(arr, info)
+    return (sums / info.counts).ravel()[bins].reshape(arr.shape)
 
 
 def symmetrize(f: Tensor) -> Tensor:

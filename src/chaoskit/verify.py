@@ -52,7 +52,6 @@ class VerifyConfig:
     samples: int = 20000
     seed: int = 0
     tol_rel: float = 1e-9
-    tol_abs: float = 1e-12
 
 
 @dataclass

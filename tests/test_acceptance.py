@@ -5,13 +5,13 @@ pass lines and runtimes.  Every random instance is seeded, and the seeds
 are printed on failure.
 """
 
-import itertools
 import math
 import time
 
 import numpy as np
 import pytest
 
+from chaoskit import verify
 from chaoskit.chaos import (
     ChaosExpansion,
     derivative,
@@ -33,25 +33,20 @@ from chaoskit.malliavin import (
 )
 from chaoskit.mc import estimate_expected_det
 from chaoskit.tensor import (
+    Tensor,
     contract,
     hat_contract,
     inner,
     random_symmetric,
     slice_tensor,
-    symmetrize,
-    tensor_product,
 )
-from chaoskit.verify import anchor_pair, instance_seed
+from chaoskit.verify import VerifyConfig, anchor_pair, instance_seed
 
 
 def report(number: int, title: str, started: float, budget: float) -> None:
     elapsed = time.time() - started
     print(f"criterion {number} ({title}): PASS in {elapsed:.1f}s (budget {budget:.0f}s)")
     assert elapsed < budget, f"criterion {number} exceeded its {budget}s budget"
-
-
-def rel_close(lhs, rhs, tol):
-    return abs(lhs - rhs) <= tol * max(1.0, abs(lhs), abs(rhs))
 
 
 def draw_sizes(rng, max_order=4):
@@ -61,91 +56,52 @@ def draw_sizes(rng, max_order=4):
     return d, n, m
 
 
+# verify's tensor checks at these settings draw criterion 1's instances:
+# instance_seed(101, salt 1..5, i), d in [2, 3], orders in [1, 4]
+CRITERION_1 = VerifyConfig(seed=101, dim=3, max_order=4, trials=20, tol_rel=1e-9)
+CRITERION_1_CHECKS = (
+    verify.check_slice_reassembly,
+    verify.check_contraction_swap,
+    verify.check_symmetrized_product_inner,
+    verify.check_hat_expansion,
+    verify.check_hat_swap,
+)
+
+
 def test_criterion_1_tensor_identities():
     """Slice reassembly, contraction swap, symmetrized-product expansion,
     quadruple-contraction expansion, and the hat swap, at 1e-9 relative."""
     started = time.time()
-    tol = 1e-9
-
-    for i in range(20):  # slice reassembly
-        seed = instance_seed(101, 1, i)
-        rng = np.random.default_rng(seed)
-        d, n, m = draw_sizes(rng)
-        f = random_symmetric(d, n, seed)
-        g = random_symmetric(d, m, seed + 1)
-        for k in range(min(n, m) + 1):
-            for r in range(min(n, m) - k + 1):
-                total = np.zeros((d,) * (n + m - 2 * k - 2 * r))
-                for idx in itertools.product(range(d), repeat=k):
-                    total = total + contract(
-                        slice_tensor(f, idx), slice_tensor(g, idx), r
-                    ).coeffs
-                direct = contract(f, g, r + k).coeffs
-                scale = max(1.0, float(np.max(np.abs(direct))))
-                assert float(np.max(np.abs(total - direct))) <= tol * scale, (
-                    f"slice reassembly failed: d={d} n={n} m={m} k={k} r={r} seed={seed}"
-                )
-
-    for i in range(20):  # contraction swap
-        seed = instance_seed(101, 2, i)
-        rng = np.random.default_rng(seed)
-        d, n, m = draw_sizes(rng)
-        f, h = random_symmetric(d, n, seed), random_symmetric(d, n, seed + 1)
-        g, ell = random_symmetric(d, m, seed + 2), random_symmetric(d, m, seed + 3)
-        for r in range(min(n - 1, m - 1) + 1):
-            lhs = inner(contract(f, h, n - r), contract(g, ell, m - r))
-            rhs = inner(contract(f, g, r), contract(h, ell, r))
-            assert rel_close(lhs, rhs, tol), f"swap failed: d={d} n={n} m={m} r={r} seed={seed}"
-
-    for i in range(20):  # symmetrized product expansion
-        seed = instance_seed(101, 3, i)
-        rng = np.random.default_rng(seed)
-        d, n, m = draw_sizes(rng)
-        f, h = random_symmetric(d, n, seed), random_symmetric(d, n, seed + 1)
-        g, ell = random_symmetric(d, m, seed + 2), random_symmetric(d, m, seed + 3)
-        lhs = inner(symmetrize(tensor_product(f, g)), symmetrize(tensor_product(ell, h)))
-        total = sum(
-            math.comb(n, r) * math.comb(m, r) * inner(contract(f, ell, r), contract(h, g, r))
-            for r in range(min(n, m) + 1)
-        )
-        rhs = math.factorial(m) * math.factorial(n) / math.factorial(m + n) * total
-        assert rel_close(lhs, rhs, tol), f"product inner failed: d={d} n={n} m={m} seed={seed}"
-
-    for i in range(20):  # quadruple-contraction expansion
-        seed = instance_seed(101, 4, i)
-        rng = np.random.default_rng(seed)
-        d, n, m = draw_sizes(rng)
-        f, h = random_symmetric(d, n, seed), random_symmetric(d, n, seed + 1)
-        g, ell = random_symmetric(d, m, seed + 2), random_symmetric(d, m, seed + 3)
-        for r in range(min(n - 1, m - 1) + 1):
-            lhs = inner(symmetrize(contract(f, g, r)), symmetrize(contract(ell, h, r)))
-            total = sum(
-                math.comb(n - r, s) * math.comb(m - r, s) * hat_contract(f, g, ell, h, r, s)
-                for s in range(min(n - r, m - r) + 1)
-            )
-            rhs = (
-                math.factorial(n - r)
-                * math.factorial(m - r)
-                / math.factorial(m + n - 2 * r)
-                * total
-            )
-            assert rel_close(lhs, rhs, tol), f"hat expansion failed: d={d} n={n} m={m} r={r} seed={seed}"
-
-    for i in range(20):  # hat swap
-        seed = instance_seed(101, 5, i)
-        rng = np.random.default_rng(seed)
-        d, n, m = draw_sizes(rng)
-        f, h = random_symmetric(d, n, seed), random_symmetric(d, n, seed + 1)
-        g, ell = random_symmetric(d, m, seed + 2), random_symmetric(d, m, seed + 3)
-        for r in range(min(n, m) + 1):
-            for s in range(min(n, m) - r + 1):
-                lhs = hat_contract(f, g, ell, h, r, s)
-                rhs = hat_contract(f, ell, g, h, s, r)
-                assert rel_close(lhs, rhs, tol), (
-                    f"hat swap failed: d={d} n={n} m={m} r={r} s={s} seed={seed}"
-                )
-
+    for check in CRITERION_1_CHECKS:
+        result = check(CRITERION_1)
+        assert result.passed, f"{result.check} failed: {result.failures}"
     report(1, "tensor identities", started, 30.0)
+
+
+def _shifted_contract(f, g, r):
+    c = contract(f, g, r)
+    return Tensor(c.dim, c.order, c.coeffs + 1.0)
+
+
+# one broken primitive per check; a uniform rescale would leave these
+# homogeneous identities true, so none of the breaks is one
+CRITERION_1_BREAKS = {
+    "slice_reassembly": ("slice_tensor", lambda t, idx: slice_tensor(t, (0,) * len(idx))),
+    "contraction_swap": ("contract", _shifted_contract),
+    "symmetrized_product_inner": ("symmetrize", lambda t: t),
+    "hat_expansion": ("hat_contract", lambda f, g, l, h, r, s: hat_contract(f, g, l, h, r, 0)),
+    "hat_swap": ("hat_contract", lambda f, g, l, h, r, s: hat_contract(f, g, l, h, 0, s)),
+}
+
+
+@pytest.mark.parametrize("check", CRITERION_1_CHECKS, ids=lambda c: c.__name__)
+def test_criterion_1_detects_broken_primitive(check, monkeypatch):
+    name = check.__name__.removeprefix("check_")
+    primitive, broken = CRITERION_1_BREAKS[name]
+    monkeypatch.setattr(verify, primitive, broken)
+    result = check(CRITERION_1)
+    assert result.check == name
+    assert not result.passed and result.failures
 
 
 def test_criterion_2_product_formula_pointwise():

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -13,6 +14,46 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# every option of each subcommand: each takes only the options it reads
+OPTIONS = {
+    "verify": ("--suite", "--dim", "--max-order", "--trials", "--samples", "--seed",
+               "--tol-rel", "--output", "-o"),
+    "edet": ("--pair", "--k", "--mc", "--samples", "--seed", "--output", "-o"),
+    "density": ("--pair", "--tol-abs", "--output", "-o"),
+    "mc": ("--pair", "--k", "--dump", "--samples", "--seed", "--output", "-o"),
+    "sweep": ("--order", "--dim", "--trials", "--seed", "--tol-rel", "--output", "-o"),
+    "gen": ("--kind", "--order", "--order-g", "--proportional", "--dim", "--seed", "-o"),
+}
+# the options several subcommands take; a subcommand that does not read one refuses it
+SHARED = ("--dim", "--max-order", "--trials", "--samples", "--seed", "--tol-rel", "--tol-abs",
+          "--output", "-o")
+REFUSED = [(cmd, flag) for cmd, flags in OPTIONS.items() for flag in SHARED if flag not in flags]
+BAD_VALUES = {
+    "--dim": ("0",),
+    "--max-order": ("0",),
+    "--trials": ("0",),
+    "--samples": ("1",),
+    "--seed": ("-1", str(2**128)),
+    "--tol-rel": ("0", "nan"),
+    "--tol-abs": ("-1", "nan"),
+}
+BAD_SLOTS = [(cmd, flag, value) for cmd, flags in OPTIONS.items()
+             for flag in flags for value in BAD_VALUES.get(flag, ())]
+
+
+def base_argv(cmd, pair, tmp_path):
+    """A cheap valid invocation of cmd that writes its output under tmp_path."""
+    out = ["-o", str(tmp_path / "out.json")]
+    return {
+        "verify": ["verify", "--suite", "tensor", "--trials", "1", "--max-order", "2", *out],
+        "edet": ["edet", "--pair", str(pair), *out],
+        "density": ["density", "--pair", str(pair), *out],
+        "mc": ["mc", "--pair", str(pair), "--samples", "100", *out],
+        "sweep": ["sweep", "--order", "2", "--dim", "2", "--trials", "1", *out],
+        "gen": ["gen", "--dim", "2", *out],
+    }[cmd]
 
 
 class TestGen:
@@ -243,6 +284,7 @@ class TestVerify:
         assert doc["passed"] is True
         assert all(c["passed"] for c in doc["checks"])
         assert all(c["seed"] == 7 for c in doc["checks"])
+        assert "tol_abs" not in doc["config"]  # no check reads an absolute tolerance
 
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "nope")
@@ -273,3 +315,44 @@ class TestVerify:
         monkeypatch.setenv("CHAOSKIT_SEED", "abc")
         code, _, _ = run(capsys, "verify", "--suite", "tensor", "--trials", "2")
         assert code == 2
+
+
+class TestOptions:
+    def test_help_lists_only_the_options_read(self, capsys):
+        for cmd, flags in OPTIONS.items():
+            with pytest.raises(SystemExit) as exc:
+                main([cmd, "--help"])
+            assert exc.value.code == 0
+            listed = re.findall(r"^  (-[-\w]+)", capsys.readouterr().out, re.M)
+            assert tuple(f for f in listed if f not in ("-h", "--help")) == flags, cmd
+
+    def test_shared_slot_count(self):
+        # 6 subcommands x 9 shared options = 54 slots, of which 28 are read
+        assert sum(f in SHARED for flags in OPTIONS.values() for f in flags) == 28
+        assert len(REFUSED) == 26
+
+    @pytest.mark.parametrize("cmd, flag", REFUSED)
+    def test_unread_option_refused(self, cmd, flag, pair_file, tmp_path, capsys):
+        value = "json" if flag == "--output" else "5"
+        with pytest.raises(SystemExit) as exc:
+            main(base_argv(cmd, pair_file, tmp_path) + [flag, value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd, flag, value", BAD_SLOTS)
+    def test_bad_value_names_the_option(self, cmd, flag, value, pair_file, tmp_path, capsys):
+        code, out, err = run(capsys, *base_argv(cmd, pair_file, tmp_path), flag, value)
+        assert code == 2 and out == ""
+        assert f"{flag} must be" in err and value in err
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("cmd", sorted(OPTIONS))
+    def test_env_seed_read_only_with_seed_option(self, cmd, pair_file, tmp_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.setenv("CHAOSKIT_SEED", "abc")
+        code, _, err = run(capsys, *base_argv(cmd, pair_file, tmp_path))
+        if "--seed" in OPTIONS[cmd]:
+            assert code == 2
+            assert "CHAOSKIT_SEED must be an integer" in err
+        else:
+            assert code == 0, err
