@@ -21,13 +21,11 @@ from .chaos import (
     multiply,
 )
 from .malliavin import (
-    CombinatorialCoeffs,
     DensityReport,
     DetBreakdown,
     InequalityResult,
     MalliavinPair,
     Verdict,
-    combinatorial_coefficients,
     cov_det,
     covariance_inequality,
     density_check,
@@ -71,7 +69,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChaosExpansion",
     "CoefficientCapError",
-    "CombinatorialCoeffs",
     "DensityReport",
     "DetBreakdown",
     "Estimate",
@@ -82,7 +79,6 @@ __all__ = [
     "Verdict",
     "basis_tensor",
     "basis_vector",
-    "combinatorial_coefficients",
     "contract",
     "cov_det",
     "covariance_inequality",

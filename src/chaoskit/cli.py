@@ -19,14 +19,14 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from io import StringIO
 
 import numpy as np
 
 from . import io as kio
 from . import malliavin as mal
-from .mc import _SEED_BOUND, DEFAULT_SAMPLES, estimate_expected_det
+from .mc import _SEED_BOUND, DEFAULT_SAMPLES, Estimate, estimate_expected_det
 from .tensor import random_symmetric
 from .verify import SUITES, VerifyConfig, instance_seed, run_suites
 
@@ -174,7 +174,7 @@ def _emit(report: dict, rows: list[dict], args: argparse.Namespace) -> None:
 def _cmd_verify(args: argparse.Namespace) -> int:
     suites = [s.strip() for s in args.suite.split(",") if s.strip()]
     vcfg = VerifyConfig(
-        dim=max(args.dim, 2),
+        dim=args.dim,
         max_order=args.max_order,
         trials=args.trials,
         samples=args.samples,
@@ -190,15 +190,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         rows.append(row)
     report = {
         "command": "verify",
-        "config": {
-            "suite": suites,
-            "dim": vcfg.dim,
-            "max_order": vcfg.max_order,
-            "trials": vcfg.trials,
-            "samples": vcfg.samples,
-            "seed": vcfg.seed,
-            "tol_rel": vcfg.tol_rel,
-        },
+        "config": {"suite": suites, **asdict(vcfg)},
         "checks": [r.to_dict() for r in results],
         "passed": passed,
     }
@@ -224,9 +216,10 @@ def _parse_k_list(raw: str, kmax: int) -> list[int]:
 def _cmd_edet(args: argparse.Namespace) -> int:
     pair = kio.load_pair(args.pair)
     ks = _parse_k_list(args.k, min(pair.n, pair.m))
+    table = mal.ContractionTable(pair)
     results = []
     for k in ks:
-        breakdown = mal.expected_det_closed_form(pair, k)
+        breakdown = mal._breakdown(pair, table, k)
         if args.mc:
             est = estimate_expected_det(pair, k, n_samples=args.samples, seed=args.seed)
             breakdown = replace(breakdown, mc=est)
@@ -236,11 +229,8 @@ def _cmd_edet(args: argparse.Namespace) -> int:
     for d in dicts:
         row = dict(d)
         row["tr"] = "|".join(_fmt(v) for v in d["tr"])
-        mcd = row.pop("mc")
-        row["mc_mean"] = mcd["mean"] if mcd else ""
-        row["mc_stderr"] = mcd["stderr"] if mcd else ""
-        row["mc_samples"] = mcd["samples"] if mcd else ""
-        row["mc_seed"] = mcd["seed"] if mcd else ""
+        mcd = row.pop("mc") or {f.name: "" for f in fields(Estimate)}
+        row.update({f"mc_{key}": v for key, v in mcd.items()})
         rows.append(row)
     report = {
         "command": "edet",
@@ -293,27 +283,12 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         "command": "mc",
         "pair": {"dim": pair.dim, "n": pair.n, "m": pair.m},
         "k": k,
-        "estimate": {
-            "mean": est.mean,
-            "stderr": est.stderr,
-            "samples": est.samples,
-            "seed": est.seed,
-        },
+        "estimate": asdict(est),
         "closed_form": closed,
         "abs_error": abs(est.mean - closed),
         "within_4_stderr": within,
     }
-    rows = [
-        {
-            "k": k,
-            "mean": est.mean,
-            "stderr": est.stderr,
-            "samples": est.samples,
-            "seed": est.seed,
-            "closed_form": closed,
-            "within_4_stderr": within,
-        }
-    ]
+    rows = [{"k": k, **asdict(est), "closed_form": closed, "within_4_stderr": within}]
     _emit(payload, rows, args)
     return 0
 

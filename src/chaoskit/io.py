@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
 from .malliavin import DetBreakdown, MalliavinPair
-from .mc import Estimate
 from .tensor import Tensor, is_symmetric, symmetrize
 from .chaos import ChaosExpansion
 
@@ -208,24 +208,9 @@ def save_pair(pair: MalliavinPair, path: PathLike, seed: Optional[int] = None) -
 
 
 def breakdown_to_dict(b: DetBreakdown) -> dict:
-    mc = None
-    if b.mc is not None:
-        est: Estimate = b.mc
-        mc = {
-            "mean": est.mean,
-            "stderr": est.stderr,
-            "samples": est.samples,
-            "seed": est.seed,
-        }
-    return {
-        "k": b.k,
-        "t0": b.t0,
-        "tr": list(b.tr),
-        "remainder": b.remainder,
-        "closed_form": b.closed_form,
-        "symbolic": b.symbolic,
-        "mc": mc,
-    }
+    """The breakdown's fields in declaration order; an attached Estimate
+    becomes its own field dict."""
+    return asdict(b)
 
 
 def _read_json(path: PathLike) -> dict:

@@ -71,7 +71,6 @@ from .tensor import (
 )
 
 __all__ = [
-    "CombinatorialCoeffs",
     "ContractionTable",
     "DIRECT_CONSTANTS",
     "DensityReport",
@@ -79,7 +78,6 @@ __all__ = [
     "InequalityResult",
     "MalliavinPair",
     "Verdict",
-    "combinatorial_coefficients",
     "cov_det",
     "covariance_inequality",
     "density_check",
@@ -145,21 +143,8 @@ def _check_k(pair: MalliavinPair, k: int) -> None:
 # -- exact combinatorial coefficients ---------------------------------------
 
 
-@dataclass(frozen=True)
-class CombinatorialCoeffs:
-    """Exact integer values of the three coefficient families.
-
-    alpha scales the direct squared-minor form of T_r, beta its
-    hat-contraction form, gamma the contraction-norm differences in the
-    covariance inequality (nonnegative while s <= (n-1)/2).
-    """
-
-    alpha: int
-    beta: int
-    gamma: int
-
-
 def _alpha(n: int, m: int, k: int, r: int) -> int:
+    # scales the squared-minor form of T_r:
     # (n! m! / ((n-k-r)! (m-k-r)! r!))^2 * (n+m-2k-2r)!
     q = math.perm(n, k + r) * math.perm(m, k + r)
     fr = checked_factorial(r)
@@ -171,7 +156,7 @@ def _alpha(n: int, m: int, k: int, r: int) -> int:
 
 
 def _beta(n: int, m: int, k: int, r: int) -> int:
-    # n!^2 m!^2 / ((n-k-r)! (m-k-r)! (r!)^2)
+    # scales the hat-contraction form of T_r: n!^2 m!^2 / ((n-k-r)! (m-k-r)! (r!)^2)
     checked_factorial(n)
     checked_factorial(m)
     checked_factorial(r)
@@ -184,27 +169,6 @@ def _beta(n: int, m: int, k: int, r: int) -> int:
     if num % den:
         raise ArithmeticError("coefficient is not an integer; invalid arguments")
     return num // den
-
-
-def _gamma(n: int, s: int) -> int:
-    # (n!^2 / ((n-s)! s!))^2 * n * (n-2s)
-    checked_factorial(n)
-    return (math.comb(n, s) * math.factorial(n)) ** 2 * n * (n - 2 * s)
-
-
-def combinatorial_coefficients(
-    n: int, m: int, k: int, r: int, s: int
-) -> CombinatorialCoeffs:
-    """Evaluate alpha(k, r), beta(k, r) and gamma(n, s) in exact integers."""
-    if not 1 <= k <= min(n, m):
-        raise ValueError(f"k = {k} out of range [1, {min(n, m)}]")
-    if not 0 <= r <= min(n - k, m - k):
-        raise ValueError(f"r = {r} out of range [0, {min(n - k, m - k)}]")
-    if not 0 <= s <= n:
-        raise ValueError(f"s = {s} out of range [0, {n}]")
-    return CombinatorialCoeffs(
-        alpha=_alpha(n, m, k, r), beta=_beta(n, m, k, r), gamma=_gamma(n, s)
-    )
 
 
 # -- symbolic route: Gram entries as chaos expansions ------------------------
@@ -466,7 +430,13 @@ class DetBreakdown:
 def expected_det_closed_form(pair: MalliavinPair, k: int) -> DetBreakdown:
     """Full closed-form breakdown of E det, with the symbolic oracle value."""
     _check_k(pair, k)
-    t0, tr = ContractionTable(pair).terms(k)
+    return _breakdown(pair, ContractionTable(pair), k)
+
+
+def _breakdown(pair: MalliavinPair, table: ContractionTable, k: int) -> DetBreakdown:
+    """:func:`expected_det_closed_form` read from the pair's table, so a
+    caller reporting several k builds the table once."""
+    t0, tr = table.terms(k)
     remainder = float(sum(tr))
     return DetBreakdown(
         k=k,

@@ -141,6 +141,24 @@ class TestEdet:
         doc = json.loads(out)
         assert doc["results"][0]["closed_form"] == pytest.approx(8.0)  # 2!^2 * det C
 
+    def test_all_orders_share_one_table(self, tmp_path, capsys, monkeypatch):
+        from chaoskit import malliavin
+
+        path = tmp_path / "p353.json"
+        run(capsys, "gen", "--dim", "3", "--order", "5", "--order-g", "3", "-o", str(path))
+        built = []
+        build = malliavin.ContractionTable.__init__
+
+        def counted(self, pair):
+            built.append(pair)
+            build(self, pair)
+
+        monkeypatch.setattr(malliavin.ContractionTable, "__init__", counted)
+        code, out, _ = run(capsys, "edet", "--pair", str(path), "--k", "all")
+        assert code == 0
+        assert [r["k"] for r in json.loads(out)["results"]] == [1, 2, 3]
+        assert len(built) == 1
+
     def test_k_out_of_range(self, pair_file, capsys):
         code, _, err = run(capsys, "edet", "--pair", str(pair_file), "--k", "3")
         assert code == 2
@@ -285,6 +303,21 @@ class TestVerify:
         assert all(c["passed"] for c in doc["checks"])
         assert all(c["seed"] == 7 for c in doc["checks"])
         assert "tol_abs" not in doc["config"]  # no check reads an absolute tolerance
+
+    def test_dim_one_refused(self, capsys):
+        # every check draws d from [2, dim]; dim 1 is refused, not raised to 2
+        code, out, err = run(capsys, "verify", "--suite", "tensor", "--dim", "1")
+        assert code == 2 and out == ""
+        assert "dim must be >= 2, got 1" in err
+
+    @pytest.mark.parametrize("cmd", ["sweep", "gen"])
+    def test_dim_one_allowed_elsewhere(self, cmd, tmp_path, capsys):
+        argv = {
+            "sweep": ["sweep", "--order", "2", "--trials", "2"],
+            "gen": ["gen", "-o", str(tmp_path / "p.json")],
+        }[cmd]
+        code, _, err = run(capsys, *argv, "--dim", "1")
+        assert code == 0, err
 
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "nope")

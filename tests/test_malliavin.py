@@ -19,7 +19,8 @@ from chaoskit.malliavin import (
     ContractionTable,
     MalliavinPair,
     Verdict,
-    combinatorial_coefficients,
+    _alpha,
+    _beta,
     cov_det,
     covariance_inequality,
     density_check,
@@ -421,7 +422,7 @@ def gram_chaos_loop(pair, k):
 def tr_term_direct_loop(pair, k, r):
     """Oracle: the squared-minor form of T_r, one slice pair (i, l) at a time."""
     f, g = pair.f, pair.g
-    alpha = combinatorial_coefficients(pair.n, pair.m, k, r, 0).alpha
+    alpha = _alpha(pair.n, pair.m, k, r)
     indices = list(itertools.product(range(pair.dim), repeat=k))
     total = 0.0
     for i in indices:
@@ -491,7 +492,7 @@ def _term_nonnegativity_loop(cfg):
     expected_det_closed_form, one breakdown per k."""
     rec = verify._Recorder(1e-10)
     for i in range(cfg.trials):
-        seed, _, d, n, m = verify._draw(cfg, 23, i, cfg.max_order)
+        seed, _, d, n, m = verify._draw(cfg, 23, i, (1, cfg.max_order), (1, cfg.max_order))
         pair = random_pair(d, n, m, seed)
         scale = verify._det_scale(pair)
         for k in range(1, min(n, m) + 1):
@@ -611,34 +612,17 @@ class TestDensityCheck:
 
 class TestCombinatorialCoeffs:
     def test_alpha_worked_value(self):
-        c = combinatorial_coefficients(2, 2, 1, 0, 0)
-        assert c.alpha == 32  # (2! 2! / 1! 1! 0!)^2 * 2!
-
-    def test_gamma_zero_at_even_split(self):
-        assert combinatorial_coefficients(4, 4, 1, 0, 2).gamma == 0
-
-    def test_gamma_sign(self):
-        for n in range(2, 7):
-            for s in range(0, n // 2 + 1):
-                gamma = combinatorial_coefficients(n, n, 1, 0, s).gamma
-                if s <= (n - 1) // 2:
-                    assert gamma >= 0
+        assert _alpha(2, 2, 1, 0) == 32  # (2! 2! / 1! 1! 0!)^2 * 2!
 
     def test_beta_positive(self):
         for n, m, k, r in [(3, 3, 1, 1), (4, 3, 1, 2), (4, 4, 2, 2)]:
-            assert combinatorial_coefficients(n, m, k, r, 0).beta > 0
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            combinatorial_coefficients(2, 2, 0, 0, 0)
-        with pytest.raises(ValueError):
-            combinatorial_coefficients(2, 2, 1, 2, 0)
+            assert _beta(n, m, k, r) > 0
 
     def test_cap(self):
         from chaoskit.chaos import CoefficientCapError
 
         with pytest.raises(CoefficientCapError):
-            combinatorial_coefficients(15, 15, 1, 0, 0)
+            _alpha(15, 15, 1, 0)
 
 
 class TestOrderEquivalence:
