@@ -5,11 +5,13 @@ Each subcommand takes only the options it reads: the shared ones
 (``--dim``, ``--seed``, ``--samples``, tolerances, output) are declared
 once in ``_SHARED``, each check is written once in ``_REQUIRE`` and runs
 only where the subcommand has the option, and a subcommand without
-``--seed`` never reads ``CHAOSKIT_SEED``.  Exit codes: 0 success (all
-checks passed / report produced), 1 a verification check or sweep trial
-failed or a density report is inconsistent, 2 invalid configuration or
-input file.  Reports are JSON by default, CSV on request; every
-randomized run records the seeds needed to replay it.
+``--seed`` never reads ``CHAOSKIT_SEED`` (nor does ``edet`` without
+``--mc``).  The parser is built once per process and reused by every
+``main`` call; the environment is read per call.  Exit codes: 0 success
+(all checks passed / report produced), 1 a verification check or sweep
+trial failed or a density report is inconsistent, 2 invalid
+configuration or input file.  Reports are JSON by default, CSV on
+request; every randomized run records the seeds needed to replay it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, fields, replace
+from functools import lru_cache
 from io import StringIO
 
 import numpy as np
@@ -47,7 +50,8 @@ _SHARED = {
     "-o": dict(dest="out_path", metavar="PATH", default=None),
 }
 
-# parsed option -> (requirement, test), checked where the subcommand has it
+# parsed option -> (requirement, test), checked where the subcommand has it and
+# the option has a value
 _REQUIRE = {
     "dim": (">= 1", lambda v: v >= 1),
     "max_order": (">= 1", lambda v: v >= 1),
@@ -55,8 +59,14 @@ _REQUIRE = {
     "samples": (">= 2", lambda v: v >= 2),
     "seed": ("in [0, 2**128)", lambda v: 0 <= v < _SEED_BOUND),
     "tol_rel": ("> 0", lambda v: v > 0),
-    "tol_abs": ("> 0", lambda v: v is None or v > 0),
+    "tol_abs": ("> 0", lambda v: v > 0),
 }
+# (subcommand, option) -> a stricter requirement that subcommand enforces
+_REQUIRE_IN = {
+    ("verify", "dim"): (">= 2", lambda v: v >= 2),  # every check draws d from [2, dim]
+}
+# edet draws samples only with --mc; without it these options are refused
+_MC_ONLY = ("samples", "seed")
 
 
 def _add_shared(p: argparse.ArgumentParser, *flags: str) -> None:
@@ -75,15 +85,23 @@ def _default_seed() -> int:
 
 
 def _validate(args: argparse.Namespace) -> None:
-    """Resolve the default seed, then check each option the subcommand has."""
-    if hasattr(args, "seed") and args.seed is None:
+    """Resolve the default seed where it is read, then check each option the
+    subcommand has."""
+    draws = getattr(args, "mc", True)  # only edet has --mc
+    if hasattr(args, "seed") and args.seed is None and draws:
         args.seed = _default_seed()
-    for dest, (need, ok) in _REQUIRE.items():
-        if hasattr(args, dest) and not ok(getattr(args, dest)):
-            flag = "--" + dest.replace("_", "-")
-            raise ValueError(f"{flag} must be {need}, got {getattr(args, dest)}")
+    for dest, rule in _REQUIRE.items():
+        need, ok = _REQUIRE_IN.get((args.subcommand, dest), rule)
+        value = getattr(args, dest, None)
+        if value is not None and not ok(value):
+            raise ValueError(f"--{dest.replace('_', '-')} must be {need}, got {value}")
+    if not draws:
+        for dest in _MC_ONLY:
+            if getattr(args, dest) is not None:
+                raise ValueError(f"--{dest} requires --mc")
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chaoskit",
@@ -112,6 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", default="all", help="comma list of orders k, or 'all'")
     p.add_argument("--mc", action="store_true", help="attach a Monte Carlo estimate")
     _add_shared(p, "--samples", "--seed", "--output", "-o")
+    p.set_defaults(samples=None)  # DEFAULT_SAMPLES with --mc; refused without it
 
     p = sub.add_parser("density", help="density/degeneracy verdict for a pair file")
     p.add_argument("--pair", required=True, metavar="FILE")
@@ -216,12 +235,13 @@ def _parse_k_list(raw: str, kmax: int) -> list[int]:
 def _cmd_edet(args: argparse.Namespace) -> int:
     pair = kio.load_pair(args.pair)
     ks = _parse_k_list(args.k, min(pair.n, pair.m))
+    samples = DEFAULT_SAMPLES if args.samples is None else args.samples
     table = mal.ContractionTable(pair)
     results = []
     for k in ks:
         breakdown = mal._breakdown(pair, table, k)
         if args.mc:
-            est = estimate_expected_det(pair, k, n_samples=args.samples, seed=args.seed)
+            est = estimate_expected_det(pair, k, n_samples=samples, seed=args.seed)
             breakdown = replace(breakdown, mc=est)
         results.append(breakdown)
     dicts = [kio.breakdown_to_dict(b) for b in results]

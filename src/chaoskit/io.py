@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Union
 
@@ -64,16 +65,15 @@ def _require(obj: dict, key: str, kind, where: str):
 
 
 def tensor_to_dict(t: Tensor) -> dict:
-    entries = []
     if t.order == 0:
         v = t.item()
-        if v != 0.0:
-            entries.append({"index": [], "value": v})
+        entries = [{"index": [], "value": v}] if v != 0.0 else []
     else:
-        for idx in np.argwhere(t.coeffs):
-            entries.append(
-                {"index": [int(j) for j in idx], "value": float(t.coeffs[tuple(idx)])}
-            )
+        nz = np.nonzero(t.coeffs)  # row-major order
+        entries = [
+            {"index": index, "value": value}
+            for index, value in zip(np.transpose(nz).tolist(), t.coeffs[nz].tolist())
+        ]
     return {
         "dim": t.dim,
         "order": t.order,
@@ -82,16 +82,34 @@ def tensor_to_dict(t: Tensor) -> dict:
     }
 
 
-def tensor_from_dict(obj: dict, request_symmetrize: bool = False) -> Tensor:
-    if not isinstance(obj, dict):
-        raise SchemaError("tensor: document must be an object")
-    dim = _require(obj, "dim", int, "tensor")
-    order = _require(obj, "order", int, "tensor")
-    flagged = _require(obj, "symmetric", bool, "tensor")
-    entries = _require(obj, "entries", list, "tensor")
-    if dim < 1 or order < 0:
-        raise SchemaError(f"tensor: invalid dim {dim} or order {order}")
-    coeffs = np.zeros((dim,) * order)
+def _all_of(items, kind) -> bool:
+    """Every item is a kind (a bool is never an int), checked once per type seen."""
+    return all(
+        issubclass(t, kind) and not issubclass(t, bool) for t in set(map(type, items))
+    )
+
+
+def _entry_arrays(entries: list, dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, order) indices and N values of the entries, checked in bulk.
+
+    Anything the bulk checks refuse is looked up entry by entry, so the
+    SchemaError names the first malformed entry in file order.
+    """
+    try:
+        if _all_of(entries, dict):
+            raw_index = [e["index"] for e in entries]
+            raw_value = [e["value"] for e in entries]
+            if (
+                _all_of(raw_index, list)
+                and _all_of(chain.from_iterable(raw_index), int)
+                and _all_of(raw_value, (int, float))
+            ):
+                index = np.array(raw_index, dtype=np.int64).reshape(len(entries), order)
+                values = np.array(raw_value, dtype=np.float64)
+                if np.isfinite(values).all() and ((index >= 0) & (index < dim)).all():
+                    return index, values
+    except (KeyError, ValueError, OverflowError):  # missing key, ragged, huge number
+        pass
     for pos, entry in enumerate(entries):
         where = f"tensor entry {pos}"
         if not isinstance(entry, dict):
@@ -105,16 +123,26 @@ def tensor_from_dict(obj: dict, request_symmetrize: bool = False) -> Tensor:
         for j in index:
             if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < dim:
                 raise SchemaError(f"{where}: index {index} out of range for dim {dim}")
-        if order == 0:
-            coeffs = np.asarray(value, dtype=np.float64)
-        else:
-            coeffs[tuple(index)] = value
-    t = Tensor(dim, order, coeffs, symmetric=False)
-    if flagged:
-        if not is_symmetric(t):
-            raise SchemaError("tensor: flagged symmetric but coefficients are not")
-        return Tensor(dim, order, coeffs, symmetric=True)
-    if request_symmetrize:
+    raise AssertionError("bulk entry checks refused entries that each pass")
+
+
+def tensor_from_dict(obj: dict, request_symmetrize: bool = False) -> Tensor:
+    if not isinstance(obj, dict):
+        raise SchemaError("tensor: document must be an object")
+    dim = _require(obj, "dim", int, "tensor")
+    order = _require(obj, "order", int, "tensor")
+    flagged = _require(obj, "symmetric", bool, "tensor")
+    entries = _require(obj, "entries", list, "tensor")
+    if dim < 1 or order < 0:
+        raise SchemaError(f"tensor: invalid dim {dim} or order {order}")
+    index, values = _entry_arrays(entries, dim, order)
+    coeffs = np.zeros(dim**order)
+    # row-major positions; a repeated index keeps its last value in file order
+    coeffs[index @ (dim ** np.arange(order - 1, -1, -1))] = values
+    t = Tensor(dim, order, coeffs.reshape((dim,) * order), symmetric=flagged)
+    if flagged and not is_symmetric(t):
+        raise SchemaError("tensor: flagged symmetric but coefficients are not")
+    if request_symmetrize and not flagged:
         return symmetrize(t)
     return t
 

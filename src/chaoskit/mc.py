@@ -103,19 +103,23 @@ def sample_gaussian_block(dim: int, seed: int, start: int, count: int) -> np.nda
         raise ValueError("start and count must be >= 0")
     if count == 0:
         return np.empty((0, dim))
-    uniforms_per_sample = 2 * ((dim + 1) // 2)
-    words = _raw_words(
-        seed, start * uniforms_per_sample, count * uniforms_per_sample
-    ).reshape(count, uniforms_per_sample)
-    # 53-bit mantissas; u1 in (0, 1] keeps the log finite, u2 in [0, 1).
-    u1 = ((words[:, 0::2] >> np.uint64(11)) + 1.0) * 2.0**-53
-    u2 = (words[:, 1::2] >> np.uint64(11)) * 2.0**-53
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = (2.0 * np.pi) * u2
-    z = np.empty((count, uniforms_per_sample))
-    z[:, 0::2] = radius * np.cos(angle)
-    z[:, 1::2] = radius * np.sin(angle)
-    return z[:, :dim]
+    pairs = (dim + 1) // 2  # two uniforms per pair of normals
+    words = _raw_words(seed, start * 2 * pairs, count * 2 * pairs)
+    words >>= np.uint64(11)  # 53-bit mantissas
+    # rows (u1, u2) of shape (pairs, count): every log/cos/sin reads contiguous memory
+    u = words.reshape(count, pairs, 2).transpose(2, 1, 0).astype(np.float64, order="C")
+    radius, angle = u
+    radius += 1.0  # u1 in (0, 1] keeps the log finite, u2 in [0, 1)
+    u *= 2.0**-53
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * np.pi
+    z = np.empty((count, dim))
+    np.multiply(radius, np.cos(angle), out=z[:, 0::2].T)
+    half = dim // 2  # an odd dim draws no sine for its last pair
+    np.multiply(radius[:half], np.sin(angle[:half]), out=z[:, 1::2].T)
+    return z
 
 
 def sample_gaussian(dim: int, seed: int, index: int) -> np.ndarray:

@@ -1,13 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import csv
 import json
 import re
 
 import pytest
 
+from chaoskit import cli
 from chaoskit.cli import main
 from chaoskit.io import load_pair, load_tensor
+from chaoskit.mc import DEFAULT_SAMPLES
 
 
 def run(capsys, *argv):
@@ -310,6 +313,12 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "dim must be >= 2, got 1" in err
 
+    @pytest.mark.parametrize("value", ["0", "1", "-3"])
+    def test_dim_message_states_the_verify_bound(self, value, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "tensor", "--dim", value)
+        assert code == 2 and out == ""
+        assert err == f"chaoskit verify: error: --dim must be >= 2, got {value}\n"
+
     @pytest.mark.parametrize("cmd", ["sweep", "gen"])
     def test_dim_one_allowed_elsewhere(self, cmd, tmp_path, capsys):
         argv = {
@@ -384,8 +393,101 @@ class TestOptions:
                                                  monkeypatch):
         monkeypatch.setenv("CHAOSKIT_SEED", "abc")
         code, _, err = run(capsys, *base_argv(cmd, pair_file, tmp_path))
-        if "--seed" in OPTIONS[cmd]:
+        # edet draws, and so reads the seed, only with --mc (see TestEdetMcOnly)
+        if "--seed" in OPTIONS[cmd] and cmd != "edet":
             assert code == 2
             assert "CHAOSKIT_SEED must be an integer" in err
         else:
             assert code == 0, err
+
+
+class TestEdetMcOnly:
+    """edet draws samples only with --mc, so --samples and --seed need it."""
+
+    @pytest.mark.parametrize("flag, value", [("--samples", "5"), ("--samples", "100000"),
+                                             ("--seed", "3"), ("--seed", "0")])
+    def test_option_without_mc_refused(self, flag, value, pair_file, tmp_path, capsys):
+        out_path = tmp_path / "out.json"
+        code, out, err = run(capsys, "edet", "--pair", str(pair_file), flag, value,
+                             "-o", str(out_path))
+        assert code == 2 and out == ""
+        assert err == f"chaoskit edet: error: {flag} requires --mc\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--samples", "1", "--samples must be >= 2, got 1"),
+        ("--seed", "-1", "--seed must be in [0, 2**128), got -1"),
+    ])
+    @pytest.mark.parametrize("mc", [[], ["--mc"]])
+    def test_bad_value_keeps_its_message(self, flag, value, message, mc, pair_file, capsys):
+        code, _, err = run(capsys, "edet", "--pair", str(pair_file), *mc, flag, value)
+        assert code == 2
+        assert err == f"chaoskit edet: error: {message}\n"
+
+    def test_env_seed_read_with_mc(self, pair_file, capsys, monkeypatch):
+        monkeypatch.setenv("CHAOSKIT_SEED", "abc")
+        code, _, err = run(capsys, "edet", "--pair", str(pair_file), "--mc",
+                           "--samples", "100")
+        assert code == 2
+        assert "CHAOSKIT_SEED must be an integer" in err
+        monkeypatch.setenv("CHAOSKIT_SEED", "4")
+        code, out, _ = run(capsys, "edet", "--pair", str(pair_file), "--k", "1", "--mc",
+                           "--samples", "100")
+        assert code == 0
+        assert json.loads(out)["results"][0]["mc"]["seed"] == 4
+
+    def test_mc_default_sample_count(self, pair_file, capsys):
+        code, out, _ = run(capsys, "edet", "--pair", str(pair_file), "--k", "1", "--mc")
+        assert code == 0
+        assert json.loads(out)["results"][0]["mc"]["samples"] == DEFAULT_SAMPLES
+
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """Count the argparse parsers constructed, from an empty parser cache on."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    yield built
+
+
+class TestParserBuiltOnce:
+    def test_many_calls_one_parser(self, parser_builds, pair_file, tmp_path, capsys,
+                                   monkeypatch):
+        out = str(tmp_path / "r.json")
+        assert run(capsys, "density", "--pair", str(pair_file), "-o", out)[0] == 0
+        per_build = len(parser_builds)
+        assert per_build == 1 + len(OPTIONS)  # the top-level parser and one per subcommand
+        for argv in (["density", "--pair", str(pair_file), "--bogus"], ["edet", "--help"],
+                     ["nope"], []):
+            with pytest.raises(SystemExit):
+                main(argv)
+        capsys.readouterr()
+        # later calls still parse their own arguments and read the environment
+        monkeypatch.setenv("CHAOSKIT_SEED", "31")
+        code, outtext, _ = run(capsys, "verify", "--suite", "tensor", "--trials", "1",
+                               "--max-order", "2")
+        assert code == 0 and json.loads(outtext)["config"]["seed"] == 31
+        monkeypatch.setenv("CHAOSKIT_SEED", "abc")
+        assert run(capsys, "verify", "--suite", "tensor", "--trials", "1")[0] == 2
+        code, outtext, _ = run(capsys, "verify", "--suite", "tensor", "--trials", "1",
+                               "--max-order", "2", "--seed", "8")
+        assert code == 0 and json.loads(outtext)["config"]["seed"] == 8
+        code, outtext, _ = run(capsys, "edet", "--pair", str(pair_file), "--k", "1")
+        assert code == 0 and [r["k"] for r in json.loads(outtext)["results"]] == [1]
+        assert len(parser_builds) == per_build
+
+    def test_parsed_namespaces_are_independent(self, pair_file, capsys):
+        # _validate fills in the seed on the namespace, never on the shared parser
+        parser = cli._build_parser()
+        first = parser.parse_args(["mc", "--pair", str(pair_file)])
+        cli._validate(first)
+        assert first.seed == 0
+        again = parser.parse_args(["mc", "--pair", str(pair_file)])
+        assert again.seed is None and parser is cli._build_parser()

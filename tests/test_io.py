@@ -1,6 +1,10 @@
 """Serialization round-trips and schema validation."""
 
+import contextlib
+import copy
+import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -22,7 +26,14 @@ from chaoskit.io import (
 )
 from chaoskit.malliavin import expected_det_closed_form, random_pair
 from chaoskit.mc import Estimate
-from chaoskit.tensor import Tensor, basis_tensor, random_symmetric, tensors_allclose
+from chaoskit.tensor import (
+    Tensor,
+    basis_tensor,
+    is_symmetric,
+    random_symmetric,
+    symmetrize,
+    tensors_allclose,
+)
 
 
 class TestTensorFormat:
@@ -195,3 +206,234 @@ class TestBreakdownFormat:
         doc = breakdown_to_dict(b)
         again = json.loads(json.dumps(doc))
         assert again["closed_form"] == b.closed_form
+
+
+# -- bulk entry read/write against the per-entry reference ------------------------
+#
+# The references are the per-entry loader and writer that the bulk versions
+# replaced, kept here verbatim in behaviour: every outcome (coefficients or the
+# exact error) of the bulk code must be theirs.
+
+
+def _reference_require(obj, key, kind, where):
+    if key not in obj:
+        raise SchemaError(f"{where}: missing key '{key}'")
+    value = obj[key]
+    if kind is float:
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise SchemaError(f"{where}: '{key}' must be a number")
+        return float(value)
+    if kind is int:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise SchemaError(f"{where}: '{key}' must be an integer")
+        return value
+    if not isinstance(value, kind):
+        raise SchemaError(f"{where}: '{key}' has wrong type {type(value).__name__}")
+    return value
+
+
+def reference_tensor_from_dict(obj, request_symmetrize=False):
+    if not isinstance(obj, dict):
+        raise SchemaError("tensor: document must be an object")
+    dim = _reference_require(obj, "dim", int, "tensor")
+    order = _reference_require(obj, "order", int, "tensor")
+    flagged = _reference_require(obj, "symmetric", bool, "tensor")
+    entries = _reference_require(obj, "entries", list, "tensor")
+    if dim < 1 or order < 0:
+        raise SchemaError(f"tensor: invalid dim {dim} or order {order}")
+    coeffs = np.zeros((dim,) * order)
+    for pos, entry in enumerate(entries):
+        where = f"tensor entry {pos}"
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{where}: must be an object")
+        index = _reference_require(entry, "index", list, where)
+        value = _reference_require(entry, "value", float, where)
+        if not math.isfinite(value):
+            raise SchemaError(f"{where}: value {value} at index {index} is not finite")
+        if len(index) != order:
+            raise SchemaError(f"{where}: index length {len(index)} != order {order}")
+        for j in index:
+            if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < dim:
+                raise SchemaError(f"{where}: index {index} out of range for dim {dim}")
+        if order == 0:
+            coeffs = np.asarray(value, dtype=np.float64)
+        else:
+            coeffs[tuple(index)] = value
+    t = Tensor(dim, order, coeffs, symmetric=False)
+    if flagged:
+        if not is_symmetric(t):
+            raise SchemaError("tensor: flagged symmetric but coefficients are not")
+        return Tensor(dim, order, coeffs, symmetric=True)
+    if request_symmetrize:
+        return symmetrize(t)
+    return t
+
+
+def reference_tensor_to_dict(t):
+    entries = []
+    if t.order == 0:
+        v = t.item()
+        if v != 0.0:
+            entries.append({"index": [], "value": v})
+    else:
+        for idx in np.argwhere(t.coeffs):
+            entries.append(
+                {"index": [int(j) for j in idx], "value": float(t.coeffs[tuple(idx)])}
+            )
+    return {
+        "dim": t.dim,
+        "order": t.order,
+        "symmetric": bool(t.symmetric),
+        "entries": entries,
+    }
+
+
+def outcome(load, doc, **kw):
+    """What loading doc gives: the tensor's flag and coefficient bytes, or the error."""
+    try:
+        t = load(copy.deepcopy(doc), **kw)
+    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+        return type(exc), str(exc)
+    return t.symmetric, t.coeffs.shape, t.coeffs.tobytes()
+
+
+# one malformed entry of a (dim 3, order 2) tensor per kind
+BAD_ENTRIES = {
+    "list": [0, 1],
+    "string": "entry",
+    "null": None,
+    "number": 3,
+    "missing index": {"value": 1.0},
+    "missing value": {"index": [0, 1]},
+    "missing both": {},
+    "index string": {"index": "01", "value": 1.0},
+    "index tuple": {"index": (0, 1), "value": 1.0},
+    "bool index": {"index": [True, 0], "value": 1.0},
+    "false index": {"index": [0, False], "value": 1.0},
+    "float index": {"index": [0.0, 1], "value": 1.0},
+    "nested index": {"index": [[0], 1], "value": 1.0},
+    "string index item": {"index": ["0", 1], "value": 1.0},
+    "index above dim": {"index": [0, 3], "value": 1.0},
+    "negative index": {"index": [-1, 0], "value": 1.0},
+    "huge index": {"index": [2**70, 0], "value": 1.0},
+    "short index": {"index": [0], "value": 1.0},
+    "long index": {"index": [0, 1, 2], "value": 1.0},
+    "empty index": {"index": [], "value": 1.0},
+    "inf value": {"index": [0, 1], "value": float("inf")},
+    "-inf value": {"index": [0, 1], "value": float("-inf")},
+    "nan value": {"index": [0, 1], "value": float("nan")},
+    "bool value": {"index": [0, 1], "value": True},
+    "string value": {"index": [0, 1], "value": "1.0"},
+    "null value": {"index": [0, 1], "value": None},
+    "nan value and short index": {"index": [0], "value": float("nan")},
+    "short index out of range": {"index": [7], "value": 1.0},
+    "bool value and bad index": {"index": [9, 9], "value": False},
+}
+GOOD_ENTRIES = [
+    {"index": [0, 1], "value": 0.5},
+    {"index": [2, 2], "value": -3},
+    {"index": [1, 0], "value": 2**70},
+]
+
+
+def _doc(entries, dim=3, order=2, symmetric=False):
+    return {"dim": dim, "order": order, "symmetric": symmetric, "entries": entries}
+
+
+class TestBulkEntries:
+    @pytest.mark.parametrize("kind", sorted(BAD_ENTRIES))
+    @pytest.mark.parametrize("pos", [0, 1, 3])
+    def test_malformed_entry_message(self, kind, pos):
+        entries = GOOD_ENTRIES + [GOOD_ENTRIES[0]]
+        entries = entries[:pos] + [BAD_ENTRIES[kind]] + entries[pos:]
+        expected = outcome(reference_tensor_from_dict, _doc(entries))
+        assert expected[0] is SchemaError
+        assert expected[1].startswith(f"tensor entry {pos}: ")
+        assert outcome(tensor_from_dict, _doc(entries)) == expected
+
+    @pytest.mark.parametrize("first", sorted(BAD_ENTRIES))
+    def test_first_bad_entry_wins(self, first):
+        for second in BAD_ENTRIES:
+            entries = [GOOD_ENTRIES[0], BAD_ENTRIES[first], GOOD_ENTRIES[1],
+                       BAD_ENTRIES[second]]
+            got = outcome(tensor_from_dict, _doc(entries))
+            assert got == outcome(reference_tensor_from_dict, _doc(entries))
+            assert got[1].startswith("tensor entry 1: "), second
+
+    def test_huge_value_overflows_as_before(self):
+        # float() of an integer beyond the double range raises OverflowError in
+        # both, unless an earlier entry is malformed
+        entries = [GOOD_ENTRIES[0], {"index": [0, 1], "value": 10**400}]
+        got = outcome(tensor_from_dict, _doc(entries))
+        assert got[0] is OverflowError
+        assert got == outcome(reference_tensor_from_dict, _doc(entries))
+        entries.insert(1, BAD_ENTRIES["nan value"])
+        assert outcome(tensor_from_dict, _doc(entries))[1].startswith("tensor entry 1: ")
+
+    @pytest.mark.parametrize(
+        "entries, order",
+        [
+            ([], 2),
+            ([], 0),
+            ([{"index": [], "value": 2.5}, {"index": [], "value": -1}], 0),
+            ([{"index": [0, 1], "value": 1.0}, {"index": [0, 1], "value": 4.0}], 2),
+            ([{"index": [1, 1], "value": 0.0}], 2),
+            (GOOD_ENTRIES, 2),
+            ([{"index": [2, 0, 1], "value": 1.5, "note": "extra keys tolerated"}], 3),
+        ],
+    )
+    def test_well_formed_entries_load_alike(self, entries, order):
+        # repeated indices keep the last value, in file order, as before
+        for symmetric in (False, True):
+            for request in (False, True):
+                doc = _doc(entries, order=order, symmetric=symmetric)
+                assert outcome(tensor_from_dict, doc, request_symmetrize=request) == \
+                    outcome(reference_tensor_from_dict, doc, request_symmetrize=request)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_write_and_read_match_the_reference(self, dim):
+        for order in range(7):
+            t = random_symmetric(dim, order, 100 * dim + order)
+            doc = tensor_to_dict(t)
+            ref = reference_tensor_to_dict(t)
+            assert json.dumps(doc, indent=2) == json.dumps(ref, indent=2)
+            assert outcome(tensor_from_dict, doc) == outcome(reference_tensor_from_dict, ref)
+        sparse = Tensor(dim, 2, np.where(np.eye(dim) > 0, -0.0, 1.0) * 2.0)
+        assert tensor_to_dict(sparse) == reference_tensor_to_dict(sparse)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_gen_matches_the_reference_bytes(self, dim, tmp_path):
+        from chaoskit.cli import main
+
+        for order in range(1, 7):
+            path = tmp_path / f"p{dim}_{order}.json"
+            seed = 10 * dim + order
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["gen", "--dim", str(dim), "--order", str(order),
+                             "--seed", str(seed), "-o", str(path)]) == 0
+            pair = load_pair(path)
+            expected = {
+                "dim": dim, "n": order, "m": order,
+                "f": reference_tensor_to_dict(pair.f),
+                "g": reference_tensor_to_dict(pair.g),
+                "seed": seed,
+            }
+            assert path.read_text() == json.dumps(expected, indent=2) + "\n"
+
+    def test_random_corruptions_match_the_reference(self):
+        rng = np.random.default_rng(2024)
+        kinds = sorted(BAD_ENTRIES)
+        for trial in range(300):
+            dim, order = int(rng.integers(1, 4)), int(rng.integers(0, 4))
+            entries = [
+                {"index": rng.integers(0, dim, order).tolist(),
+                 "value": float(rng.normal())}
+                for _ in range(int(rng.integers(0, 6)))
+            ]
+            for _ in range(int(rng.integers(0, 3))):
+                pos = int(rng.integers(0, len(entries) + 1))
+                entries.insert(pos, BAD_ENTRIES[kinds[int(rng.integers(len(kinds)))]])
+            for symmetric in (False, True):
+                doc = _doc(entries, dim, order, symmetric)
+                assert outcome(tensor_from_dict, doc) == \
+                    outcome(reference_tensor_from_dict, doc), (trial, doc)

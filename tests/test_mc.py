@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from chaoskit import mc
 from chaoskit.chaos import ChaosExpansion, evaluate
 from chaoskit.malliavin import MalliavinPair, expected_det, random_pair
 from chaoskit.mc import (
@@ -206,3 +207,50 @@ class TestEstimateType:
     def test_fields(self):
         est = Estimate(mean=1.0, stderr=0.1, samples=10, seed=3)
         assert est.samples == 10 and est.seed == 3
+
+
+# -- the in-place sampler against the one it replaced ---------------------------
+
+
+def reference_sample_gaussian_block(dim, seed, start, count):
+    """The sampler body before the in-place rewrite, the bit-for-bit reference."""
+    if count == 0:
+        return np.empty((0, dim))
+    uniforms_per_sample = 2 * ((dim + 1) // 2)
+    words = mc._raw_words(
+        seed, start * uniforms_per_sample, count * uniforms_per_sample
+    ).reshape(count, uniforms_per_sample)
+    u1 = ((words[:, 0::2] >> np.uint64(11)) + 1.0) * 2.0**-53
+    u2 = (words[:, 1::2] >> np.uint64(11)) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = (2.0 * np.pi) * u2
+    z = np.empty((count, uniforms_per_sample))
+    z[:, 0::2] = radius * np.cos(angle)
+    z[:, 1::2] = radius * np.sin(angle)
+    return z[:, :dim]
+
+
+# the benchmark's Monte Carlo cells (d, n, k, samples)
+MC_CELLS = [(2, 2, 1, 65536), (3, 4, 2, 16384), (3, 6, 1, 16384), (3, 6, 3, 8192),
+            (4, 4, 2, 8192)]
+
+
+class TestSamplerReference:
+    @pytest.mark.parametrize("dim", range(1, 7))
+    @pytest.mark.parametrize("seed", [0, 2**128 - 1])
+    @pytest.mark.parametrize("start", [0, 10**12])
+    def test_bit_identical(self, dim, seed, start):
+        for count in (0, 1, 7, 8192):
+            got = sample_gaussian_block(dim, seed, start, count)
+            ref = reference_sample_gaussian_block(dim, seed, start, count)
+            assert got.shape == ref.shape == (count, dim)
+            assert got.tobytes() == ref.tobytes()
+            assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("d, n, k, samples", MC_CELLS)
+    def test_estimates_bit_identical(self, d, n, k, samples, monkeypatch):
+        pair = random_pair(d, n, n, 500 + 10 * d + n)
+        got = estimate_expected_det(pair, k, n_samples=samples, seed=17)
+        monkeypatch.setattr(mc, "sample_gaussian_block", reference_sample_gaussian_block)
+        ref = estimate_expected_det(pair, k, n_samples=samples, seed=17)
+        assert (got.mean.hex(), got.stderr.hex()) == (ref.mean.hex(), ref.stderr.hex())
