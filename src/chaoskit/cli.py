@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, fields, replace
@@ -50,6 +51,8 @@ _SHARED = {
     "-o": dict(dest="out_path", metavar="PATH", default=None),
 }
 
+# a nan tolerance fails every comparison and an inf one passes every check
+_TOLERANCE = ("finite and > 0", lambda v: math.isfinite(v) and v > 0)
 # parsed option -> (requirement, test), checked where the subcommand has it and
 # the option has a value
 _REQUIRE = {
@@ -58,15 +61,19 @@ _REQUIRE = {
     "trials": (">= 1", lambda v: v >= 1),
     "samples": (">= 2", lambda v: v >= 2),
     "seed": ("in [0, 2**128)", lambda v: 0 <= v < _SEED_BOUND),
-    "tol_rel": ("> 0", lambda v: v > 0),
-    "tol_abs": ("> 0", lambda v: v > 0),
+    "tol_rel": _TOLERANCE,
+    "tol_abs": _TOLERANCE,
 }
 # (subcommand, option) -> a stricter requirement that subcommand enforces
 _REQUIRE_IN = {
     ("verify", "dim"): (">= 2", lambda v: v >= 2),  # every check draws d from [2, dim]
 }
-# edet draws samples only with --mc; without it these options are refused
-_MC_ONLY = ("samples", "seed")
+# subcommand -> (gate, what the gate requires, options read only when the gate holds);
+# without the gate these options are refused
+_GATED = {
+    "edet": (lambda a: a.mc, "--mc", ("samples", "seed")),  # edet draws only with --mc
+    "gen": (lambda a: a.kind == "pair", "--kind pair", ("order_g", "proportional")),
+}
 
 
 def _add_shared(p: argparse.ArgumentParser, *flags: str) -> None:
@@ -95,10 +102,10 @@ def _validate(args: argparse.Namespace) -> None:
         value = getattr(args, dest, None)
         if value is not None and not ok(value):
             raise ValueError(f"--{dest.replace('_', '-')} must be {need}, got {value}")
-    if not draws:
-        for dest in _MC_ONLY:
-            if getattr(args, dest) is not None:
-                raise ValueError(f"--{dest} requires --mc")
+    gate, needs, gated = _GATED.get(args.subcommand, (None, None, ()))
+    for dest in gated:
+        if getattr(args, dest) is not None and not gate(args):
+            raise ValueError(f"--{dest.replace('_', '-')} requires {needs}")
 
 
 @lru_cache(maxsize=None)
@@ -167,7 +174,8 @@ def _fmt(x) -> str:
 
 def _emit(report: dict, rows: list[dict], args: argparse.Namespace) -> None:
     if args.output == "json":
-        text = json.dumps(report, indent=2) + "\n"
+        # strict JSON: a non-finite value is an error (exit 2), never NaN/Infinity
+        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     else:
         fields: list[str] = []
         for row in rows:
@@ -178,7 +186,8 @@ def _emit(report: dict, rows: list[dict], args: argparse.Namespace) -> None:
         writer = csv.DictWriter(buf, fieldnames=fields)
         writer.writeheader()
         for row in rows:
-            writer.writerow({k: _fmt(v) for k, v in row.items()})
+            # a None value is left out: the writer fills it with an empty field
+            writer.writerow({k: _fmt(v) for k, v in row.items() if v is not None})
         text = buf.getvalue()
     if args.out_path:
         with open(args.out_path, "w") as fh:
@@ -319,13 +328,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"--order must be >= 2 for the inequality sweep, got {n}")
     rows = []
     violations = 0
-    min_ratio = float("inf")
     for trial in range(args.trials):
         seed = instance_seed(args.seed, 90, trial)
         pair = mal.random_pair(args.dim, n, n, seed)
         res = mal.covariance_inequality(pair, tol_rel=args.tol_rel)
-        ratio = res.lhs / res.rhs if res.rhs > 0 else float("inf")
-        min_ratio = min(min_ratio, ratio)
+        # det C = 0 (e.g. d = 1) leaves the ratio undefined: null, not Infinity
+        ratio = res.lhs / res.rhs if res.rhs > 0 else None
         row = {
             "trial": trial,
             "seed": seed,
@@ -353,7 +361,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "tol_rel": args.tol_rel,
         },
         "rows": rows,
-        "min_ratio": min_ratio,
+        "min_ratio": min(
+            (row["ratio"] for row in rows if row["ratio"] is not None), default=None
+        ),
         "violations": violations,
         "passed": violations == 0,
     }
@@ -369,11 +379,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         raise ValueError(f"--order must be >= 1, got {order}")
     if args.kind == "tensor":
         t = random_symmetric(args.dim, order, args.seed)
-        doc = kio.tensor_to_dict(t)
-        doc["seed"] = args.seed
-        with open(args.out_path, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        kio.save_tensor(t, args.out_path, seed=args.seed)
     else:
         order_g = args.order_g if args.order_g is not None else order
         if args.proportional is not None:

@@ -151,8 +151,11 @@ def load_tensor(path: PathLike, request_symmetrize: bool = False) -> Tensor:
     return tensor_from_dict(_read_json(path), request_symmetrize)
 
 
-def save_tensor(t: Tensor, path: PathLike) -> None:
-    _write_json(tensor_to_dict(t), path)
+def save_tensor(t: Tensor, path: PathLike, seed: Optional[int] = None) -> None:
+    doc = tensor_to_dict(t)
+    if seed is not None:
+        doc["seed"] = seed
+    _write_json(doc, path)
 
 
 # -- chaos expansions ---------------------------------------------------------
@@ -179,9 +182,9 @@ def chaos_from_dict(obj: dict) -> ChaosExpansion:
         if not isinstance(item, dict):
             raise SchemaError(f"{where}: must be an object")
         order = _require(item, "order", int, where)
-        tensor = tensor_from_dict(_require(item, "tensor", dict, where))
-        if not tensor.symmetric:
-            tensor = symmetrize(tensor)
+        tensor = tensor_from_dict(
+            _require(item, "tensor", dict, where), request_symmetrize=True
+        )
         if tensor.dim != dim or tensor.order != order:
             raise SchemaError(f"{where}: tensor shape disagrees with dim/order")
         if order in terms:

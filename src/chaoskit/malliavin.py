@@ -17,9 +17,9 @@ and this module computes its determinant three independent ways:
   coordinates (manifestly nonnegative), summed over permutation-orbit
   representatives with orbit-size weights from one Hermite table per
   batch of points;
-* in closed form, as E det = T_0 + sum_{r>=1} T_r with T_0 built from
-  contraction norms ||f x_s g||^2 and the T_r built from quadruple
-  (hat) contractions, all read for every k from one
+* in closed form, as E det = T_0 + sum_{r>=1} T_r, every T_r one
+  weighted difference of quadruple (hat) contractions, whose r = 0 row
+  is the contraction norms ||f x_s g||^2, all read for every k from one
   :class:`ContractionTable` of the C_r = f x_r g.  This is the
   production route; :func:`tr_term_direct` and ``tensor.hat_contract``
   are oracles for the tests and ``verify`` only.
@@ -27,7 +27,7 @@ and this module computes its determinant three independent ways:
 The oracles are batched but stay independent of the closed form: the
 symbolic route is chaos arithmetic on derivative coordinates, and
 :func:`tr_term_direct` contracts slices of f with slices of g; neither
-reads the table's norms, hat contractions or T_0/T_r identities.
+reads the table's hat contractions or its term formula.
 
 It also provides the covariance determinant
 det C = n!^2 (||f||^2 ||g||^2 - <f, g>^2), the inequality bounding
@@ -72,7 +72,6 @@ from .tensor import (
 
 __all__ = [
     "ContractionTable",
-    "DIRECT_CONSTANTS",
     "DensityReport",
     "DetBreakdown",
     "InequalityResult",
@@ -289,15 +288,14 @@ def det_gram_eval(pair: MalliavinPair, k: int, xi):
 
 
 class ContractionTable:
-    """The closed form's norms and hat contractions, each C_r = f x_r g once.
+    """The closed form's hat contractions, each C_r = f x_r g once.
 
-    ``norms[s]`` = ||C_s||^2 for s = 0..min(n, m), with ||C_0||^2 =
-    ||f||^2 ||g||^2 so the outer product is never built.  ``hats[(r, s)]``
-    = hat(f,g,g,f; r,s) for r >= 1, r + s <= min(n, m): C_r against
-    itself with its first s f-slots and first s g-slots swapped.
-    hats[(r, 0)] = norms[r], and hats[(r, s)] = hats[(s, r)] (the swap
-    identity) is read off the smaller contraction.  A table lives for
-    one call; nothing is stored on the pair.
+    ``hats[(r, s)]`` = hat(f,g,g,f; r,s) for r, s >= 0, r + s <= min(n, m):
+    C_r against itself with its first s f-slots and first s g-slots
+    swapped.  hats[(r, s)] = hats[(s, r)] (the swap identity) is read off
+    the smaller contraction, so the r = 0 row is the norms ||C_s||^2,
+    with ||C_0||^2 = ||f||^2 ||g||^2 so the outer product is never built.
+    A table lives for one call; nothing is stored on the pair.
     """
 
     def __init__(self, pair: MalliavinPair):
@@ -306,12 +304,10 @@ class ContractionTable:
         checked_factorial(n)
         checked_factorial(m)
         self.n, self.m = n, m
-        self.norms = [inner(f, f) * inner(g, g)]
-        self.hats: dict[tuple[int, int], float] = {}
+        self.hats = {(0, 0): inner(f, f) * inner(g, g)}
         for r in range(1, min(n, m) + 1):
             c = contract(f, g, r).coeffs
-            self.norms.append(float(np.vdot(c, c)))
-            self.hats[(r, 0)] = self.norms[r]
+            self.hats[(r, 0)] = self.hats[(0, r)] = float(np.vdot(c, c))
             p = n - r  # f-slots of c; swap slots [0, s) with [p, p + s)
             for s in range(1, min(r, p, m - r) + 1):
                 axes = (*range(p, p + s), *range(s, p), *range(s), *range(p + s, c.ndim))
@@ -319,18 +315,9 @@ class ContractionTable:
                     np.vdot(c, c.transpose(axes))
                 )
 
-    def t0(self, k: int) -> float:
-        n, m, norms = self.n, self.m, self.norms
-        lead = math.factorial(m) ** 2 * math.factorial(n) ** 2 // (
-            math.factorial(m - k) * math.factorial(n - k)
-        )
-        total = 0.0
-        for s in range(min(m - k, n - k) + 1):
-            w = math.comb(m - k, s) * math.comb(n - k, s)
-            total += w * (norms[s] - norms[s + k])
-        return float(lead) * total
-
-    def tr(self, k: int, r: int) -> float:
+    def term(self, k: int, r: int) -> float:
+        """T_r of the k-th iterated matrix, 0 <= r <= min(n, m) - k: beta(k, r)
+        * sum_s C(n-k-r,s) C(m-k-r,s) (hats[(r,s)] - hats[(r,s+k)])."""
         n, m, hats = self.n, self.m, self.hats
         total = 0.0
         for s in range(min(n - k - r, m - k - r) + 1):
@@ -341,18 +328,18 @@ class ContractionTable:
     def terms(self, k: int) -> tuple[float, tuple[float, ...]]:
         """(T_0, (T_1, ..., T_rmax)) for the k-th iterated matrix."""
         rmax = min(self.n - k, self.m - k)
-        return self.t0(k), tuple(self.tr(k, r) for r in range(1, rmax + 1))
+        return self.term(k, 0), tuple(self.term(k, r) for r in range(1, rmax + 1))
 
 
 def t0_term(pair: MalliavinPair, k: int) -> float:
     """Leading term of E det: weighted contraction-norm differences.
 
     m!^2 n!^2 / ((m-k)! (n-k)!) * sum_s C(m-k,s) C(n-k,s)
-    (||f x_s g||^2 - ||f x_{s+k} g||^2), read from the pair's
+    (||f x_s g||^2 - ||f x_{s+k} g||^2), the r = 0 term of the pair's
     :class:`ContractionTable`.
     """
     _check_k(pair, k)
-    return ContractionTable(pair).t0(k)
+    return ContractionTable(pair).term(k, 0)
 
 
 def tr_term(pair: MalliavinPair, k: int, r: int) -> float:
@@ -366,7 +353,7 @@ def tr_term(pair: MalliavinPair, k: int, r: int) -> float:
     _check_k(pair, k)
     if not 1 <= r <= min(pair.n - k, pair.m - k):
         raise ValueError(f"r = {r} out of range [1, {min(pair.n - k, pair.m - k)}]")
-    return ContractionTable(pair).tr(k, r)
+    return ContractionTable(pair).term(k, r)
 
 
 def tr_term_direct(pair: MalliavinPair, k: int, r: int) -> float:
@@ -472,13 +459,15 @@ def cov_det(pair: MalliavinPair) -> float:
     return checked_factorial(n) ** 2 * (nf2 * ng2 - fg * fg)
 
 
-# E det^(1) >= c_n det C, the inequality for n = 2, 3, 4 (where its sum is empty)
-DIRECT_CONSTANTS = {2: 4.0, 3: 9.0 / 4.0, 4: 16.0 / 9.0}
+def _check_tol(name: str, value: float) -> None:
+    # a nan tolerance fails every comparison and an inf one passes every check
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
 class InequalityResult:
-    """lhs >= rhs, and edet1 >= direct_bound for n in DIRECT_CONSTANTS."""
+    """lhs >= rhs, and edet1 >= direct_bound for n <= 4."""
 
     lhs: float
     rhs: float
@@ -494,13 +483,15 @@ def covariance_inequality(pair: MalliavinPair, tol_rel: float = 1e-9) -> Inequal
     lhs = sum_{s=2}^{floor((n-1)/2)} n(n-2s)/s!^2 * E det^(s)
           + (n-1)^2 * E det^(1),
     rhs = n^2 det C, and holds means lhs >= rhs - tol_rel * scale.
-    The sum is empty for n <= 4; for n = 2, 3, 4 the bound reduces to
-    E det^(1) >= c_n det C with c_n = 4, 9/4, 16/9 (DIRECT_CONSTANTS),
-    also checked at tol_rel.  Every E det comes from one table.
+    The sum is empty for n <= 4, where the bound reduces to
+    E det^(1) >= n^2 / (n-1)^2 det C (4, 9/4, 16/9), also checked at
+    tol_rel, which must be finite and > 0.  Every E det comes from one
+    table.
     """
     n = _require_equal_orders(pair)
     if n < 2:
         raise ValueError(f"the inequality requires order n >= 2, got {n}")
+    _check_tol("tol_rel", tol_rel)
     dets = expected_dets(pair)
     lhs = (n - 1) ** 2 * dets[0]
     for s in range(2, (n - 1) // 2 + 1):
@@ -509,8 +500,8 @@ def covariance_inequality(pair: MalliavinPair, tol_rel: float = 1e-9) -> Inequal
     c = cov_det(pair)
     rhs = n**2 * c
     bound = direct_holds = None
-    if n in DIRECT_CONSTANTS:
-        bound = DIRECT_CONSTANTS[n] * c
+    if n <= 4:
+        bound = n**2 / (n - 1) ** 2 * c
         direct_holds = dets[0] >= bound - tol_rel * max(1.0, abs(dets[0]), abs(bound))
     holds = lhs >= rhs - tol_rel * max(1.0, abs(lhs), abs(rhs))
     return InequalityResult(lhs, rhs, holds, dets[0], bound, direct_holds)
@@ -547,12 +538,15 @@ def default_density_tol(pair: MalliavinPair) -> float:
 
 
 def density_check(pair: MalliavinPair, tol_abs: Optional[float] = None) -> DensityReport:
-    """Degeneracy verdict from det C, cross-tabulated with every E det."""
+    """Degeneracy verdict from det C, cross-tabulated with every E det.
+
+    An explicit tol_abs must be finite and > 0.
+    """
     _require_equal_orders(pair)
     if tol_abs is None:
         tol_abs = default_density_tol(pair)
-    elif tol_abs <= 0:
-        raise ValueError(f"tol_abs must be > 0, got {tol_abs}")
+    else:
+        _check_tol("tol_abs", tol_abs)
     c = cov_det(pair)
     dets = expected_dets(pair)
     degenerate = c <= tol_abs

@@ -56,6 +56,7 @@ class VerifyConfig:
     def __post_init__(self) -> None:
         if self.dim < 2:  # every check draws d from [2, dim]
             raise ValueError(f"dim must be >= 2, got {self.dim}")
+        mal._check_tol("tol_rel", self.tol_rel)
 
 
 @dataclass
@@ -467,14 +468,14 @@ def check_top_term_formula(cfg: VerifyConfig) -> CheckResult:
         table = mal.ContractionTable(pair)
         for k in range(1, n):
             r = n - k
-            got = table.tr(k, r)
+            got = table.term(k, r)
             lead = math.factorial(n) ** 4 / math.factorial(n - k) ** 2
             c_fg = contract(f, g, r)
             c_gf = contract(g, f, r)
             want = lead * (inner(c_fg, c_fg) - inner(c_fg, c_gf))
             rec.add(_rel_err(got, want), f"top r d={d} n={n} k={k} seed={seed}")
         rec.add(  # at k = n there are no correction terms: E det = T_0
-            _rel_err(table.t0(n), math.factorial(n) ** 2 * mal.cov_det(pair)),
+            _rel_err(table.term(n, 0), math.factorial(n) ** 2 * mal.cov_det(pair)),
             f"k=n d={d} n={n} seed={seed}",
         )
     return rec.result("malliavin", "top_term_formula", cfg.seed, cfg.trials)

@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +18,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, as strict parsers do."""
+    return json.loads(text, parse_constant=_refuse_constant)
 
 
 # every option of each subcommand: each takes only the options it reads
@@ -39,8 +49,9 @@ BAD_VALUES = {
     "--trials": ("0",),
     "--samples": ("1",),
     "--seed": ("-1", str(2**128)),
-    "--tol-rel": ("0", "nan"),
-    "--tol-abs": ("-1", "nan"),
+    # an inf tolerance would pass every check and call every density DEGENERATE
+    "--tol-rel": ("0", "nan", "inf"),
+    "--tol-abs": ("-1", "nan", "inf"),
 }
 BAD_SLOTS = [(cmd, flag, value) for cmd, flags in OPTIONS.items()
              for flag in flags for value in BAD_VALUES.get(flag, ())]
@@ -104,6 +115,15 @@ class TestGen:
         code, _, err = run(capsys, "gen", "--dim", "2", "--order", "2")
         assert code == 2
         assert "output path" in err
+
+    @pytest.mark.parametrize("flag, value", [("--order-g", "3"), ("--proportional", "2.5")])
+    def test_tensor_kind_refuses_pair_options(self, flag, value, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        code, out, err = run(capsys, "gen", "--kind", "tensor", "--dim", "2", flag, value,
+                             "-o", str(path))
+        assert code == 2 and out == ""
+        assert err == f"chaoskit gen: error: {flag} requires --kind pair\n"
+        assert not path.exists()
 
 
 @pytest.fixture
@@ -226,6 +246,14 @@ class TestDensity:
         assert out == ""
         assert "tensor entry 0" in err and "not finite" in err
 
+    def test_non_finite_report_exits_2(self, pair_file, capsys, monkeypatch):
+        report = cli.mal.density_check(load_pair(pair_file))
+        monkeypatch.setattr(cli.mal, "density_check",
+                            lambda pair, tol_abs: replace(report, cov_det=float("nan")))
+        code, out, err = run(capsys, "density", "--pair", str(pair_file))
+        assert code == 2 and out == ""
+        assert "Out of range float values are not JSON compliant" in err
+
     def test_inconsistent_report_exits_1(self, anchor_file, capsys):
         # E det = (12, 8): a zero threshold of 10 splits them
         code, out, _ = run(capsys, "density", "--pair", str(anchor_file), "--tol-abs", "10")
@@ -292,6 +320,31 @@ class TestSweep:
     def test_order_one_rejected(self, capsys):
         code, _, _ = run(capsys, "sweep", "--order", "1")
         assert code == 2
+
+    def test_zero_covariance_gives_null_ratio(self, capsys):
+        # d = 1: det C = 0 up to rounding, so lhs / rhs is undefined where rhs <= 0
+        argv = ("sweep", "--order", "3", "--dim", "1", "--trials", "4", "--seed", "0")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        doc = strict_json(out)
+        assert any(row["ratio"] is None for row in doc["rows"])
+        assert all((row["ratio"] is None) == (row["rhs"] <= 0) for row in doc["rows"])
+        ratios = [row["ratio"] for row in doc["rows"] if row["ratio"] is not None]
+        assert doc["min_ratio"] == min(ratios, default=None)
+        code, out, _ = run(capsys, *argv, "--output", "csv")
+        rows = list(csv.DictReader(out.splitlines()))
+        assert [row["ratio"] == "" for row in rows] == [r["ratio"] is None for r in doc["rows"]]
+
+    def test_min_ratio_null_without_ratios(self, capsys, monkeypatch):
+        from chaoskit.malliavin import InequalityResult
+
+        monkeypatch.setattr(cli.mal, "covariance_inequality",
+                            lambda pair, tol_rel: InequalityResult(0.0, 0.0, True, 0.0, None, None))
+        code, out, _ = run(capsys, "sweep", "--order", "5", "--dim", "1", "--trials", "2")
+        assert code == 0
+        doc = strict_json(out)
+        assert doc["min_ratio"] is None
+        assert [row["ratio"] for row in doc["rows"]] == [None, None]
 
 
 class TestVerify:

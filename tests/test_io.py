@@ -44,6 +44,9 @@ class TestTensorFormat:
         back = load_tensor(path)
         assert back.symmetric
         assert tensors_allclose(back, t, rel=0)
+        assert "seed" not in json.loads(path.read_text())
+        save_tensor(t, path, seed=4)
+        assert json.loads(path.read_text()) == {**tensor_to_dict(t), "seed": 4}
 
     def test_order_zero_round_trip(self):
         t = Tensor.scalar(2, -1.5)
@@ -134,6 +137,20 @@ class TestChaosFormat:
         assert set(back.terms) == set(F.terms)
         for k in F.terms:
             assert tensors_allclose(back.terms[k], F.terms[k], rel=0)
+
+    def test_unflagged_term_is_symmetrized(self):
+        raw = Tensor(2, 2, np.array([[0.0, 2.0], [0.0, 0.0]]))
+        doc = {"dim": 2, "terms": [{"order": 2, "tensor": tensor_to_dict(raw)}]}
+        term = chaos_from_dict(doc).terms[2]
+        assert term.symmetric
+        assert tensors_allclose(term, symmetrize(raw), rel=0)
+
+    def test_flagged_asymmetric_term_rejected(self):
+        doc = {"dim": 2, "terms": [{"order": 2, "tensor": tensor_to_dict(
+            Tensor(2, 2, np.array([[0.0, 2.0], [0.0, 0.0]])))}]}
+        doc["terms"][0]["tensor"]["symmetric"] = True
+        with pytest.raises(SchemaError, match="flagged symmetric"):
+            chaos_from_dict(doc)
 
     def test_duplicate_order_rejected(self):
         doc = chaos_to_dict(ChaosExpansion.constant(2, 1.0))
@@ -419,6 +436,13 @@ class TestBulkEntries:
                 "seed": seed,
             }
             assert path.read_text() == json.dumps(expected, indent=2) + "\n"
+            tpath = tmp_path / f"t{dim}_{order}.json"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["gen", "--kind", "tensor", "--dim", str(dim), "--order",
+                             str(order), "--seed", str(seed), "-o", str(tpath)]) == 0
+            t = random_symmetric(dim, order, seed)
+            expected = {**reference_tensor_to_dict(t), "seed": seed}
+            assert tpath.read_text() == json.dumps(expected, indent=2) + "\n"
 
     def test_random_corruptions_match_the_reference(self):
         rng = np.random.default_rng(2024)

@@ -373,11 +373,8 @@ class TestContractionTable:
         f, g = pair.f, pair.g
         top = min(pair.n, pair.m)
         table = ContractionTable(pair)
-        assert len(table.norms) == top + 1
-        for s, value in enumerate(table.norms):
-            c = contract(f, g, s)
-            assert value == pytest.approx(inner(c, c), rel=1e-12)
-        want = {(r, s) for r in range(1, top + 1) for s in range(top - r + 1)}
+        # the r = 0 row holds the contraction norms: hat(f,g,g,f; 0,s) = ||f x_s g||^2
+        want = {(r, s) for r in range(top + 1) for s in range(top - r + 1)}
         assert set(table.hats) == want
         for (r, s), value in table.hats.items():
             assert value == pytest.approx(hat_contract(f, g, g, f, r, s), rel=1e-12)
@@ -417,6 +414,58 @@ def gram_chaos_loop(pair, k):
         b = b + w * multiply(eF, eG)
         c = c + w * multiply(eG, eG)
     return a, b, c
+
+
+def reference_norms(pair):
+    """||f||^2 ||g||^2, then ||f x_s g||^2 for s = 1..min(n, m), each C_s once."""
+    f, g = pair.f, pair.g
+    norms = [inner(f, f) * inner(g, g)]
+    for s in range(1, min(pair.n, pair.m) + 1):
+        c = contract(f, g, s).coeffs
+        norms.append(float(np.vdot(c, c)))
+    return norms
+
+
+def reference_t0(norms, n, m, k):
+    """T_0 from the contraction norms with its lead computed by hand, as the
+    table computed it before T_0 became its r = 0 term."""
+    lead = math.factorial(m) ** 2 * math.factorial(n) ** 2 // (
+        math.factorial(m - k) * math.factorial(n - k)
+    )
+    total = 0.0
+    for s in range(min(m - k, n - k) + 1):
+        w = math.comb(m - k, s) * math.comb(n - k, s)
+        total += w * (norms[s] - norms[s + k])
+    return float(lead) * total
+
+
+def reference_tr(hats, n, m, k, r):
+    """T_r for r >= 1 from the hat contractions, the separate T_r body."""
+    total = 0.0
+    for s in range(min(n - k - r, m - k - r) + 1):
+        w = math.comb(n - k - r, s) * math.comb(m - k - r, s)
+        total += w * (hats[(r, s)] - hats[(r, s + k)])
+    return float(_beta(n, m, k, r)) * total
+
+
+class TestOneTermFormula:
+    """term(k, r) is the separate T_0 and T_r bodies, bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_the_separate_bodies(self, d):
+        for n, m in itertools.product(range(1, 7), repeat=2):
+            pair = random_pair(d, n, m, 1000 * d + 10 * n + m)
+            table = ContractionTable(pair)
+            norms = reference_norms(pair)
+            assert [table.hats[(0, s)].hex() for s in range(len(norms))] == [
+                v.hex() for v in norms
+            ]
+            for k in range(1, min(n, m) + 1):
+                t0, tr = table.terms(k)
+                assert t0.hex() == table.term(k, 0).hex() == reference_t0(norms, n, m, k).hex()
+                assert t0_term(pair, k).hex() == t0.hex()
+                want = [reference_tr(table.hats, n, m, k, r) for r in range(1, len(tr) + 1)]
+                assert [v.hex() for v in tr] == [v.hex() for v in want]
 
 
 def tr_term_direct_loop(pair, k, r):
@@ -577,6 +626,12 @@ class TestCovarianceInequality:
         with pytest.raises(ValueError):
             covariance_inequality(pair)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # an inf tolerance would make every bound hold
+        with pytest.raises(ValueError, match="tol_rel must be finite and > 0"):
+            covariance_inequality(random_pair(2, 3, 3, 141), tol_rel=tol)
+
 
 class TestDensityCheck:
     def test_proportional_is_degenerate(self):
@@ -608,6 +663,12 @@ class TestDensityCheck:
     def test_tol_must_be_positive(self, worked_pair):
         with pytest.raises(ValueError):
             density_check(worked_pair, tol_abs=0.0)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_tol_must_be_finite(self, worked_pair, tol):
+        # an inf threshold calls every pair DEGENERATE; a nan one passes no test
+        with pytest.raises(ValueError, match="tol_abs must be finite and > 0"):
+            density_check(worked_pair, tol_abs=tol)
 
 
 class TestCombinatorialCoeffs:

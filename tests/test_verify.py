@@ -47,6 +47,12 @@ class TestDraw:
         with pytest.raises(ValueError, match="dim must be >= 2"):
             VerifyConfig(dim=dim)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("inf"), float("nan")])
+    def test_config_refuses_non_finite_or_non_positive_tolerance(self, tol):
+        # an inf tolerance would pass every check
+        with pytest.raises(ValueError, match="tol_rel must be finite and > 0"):
+            VerifyConfig(tol_rel=tol)
+
 
 class TestOneTablePerPair:
     @pytest.mark.parametrize(
