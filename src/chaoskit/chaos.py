@@ -35,6 +35,7 @@ from .tensor import (
     Tensor,
     _orbit_average,
     _orbit_sums,
+    _require_same_dim,
     inner,
     orbit_info,
     slice_tensor,
@@ -198,11 +199,6 @@ class HValuedChaos:
         return self.entries[tuple(idx)]
 
 
-def _require_same_dim(a, b) -> None:
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
-
-
 # -- product, expectation, inner product -----------------------------------
 
 
@@ -333,13 +329,8 @@ def hermite(n: int, x):
     if n < 0:
         raise ValueError(f"Hermite degree must be >= 0, got {n}")
     x = np.asarray(x, dtype=np.float64)
-    prev = np.ones_like(x)
-    if n == 0:
-        return prev if prev.ndim else float(prev)
-    cur = x.copy()
-    for p in range(1, n):
-        prev, cur = cur, x * cur - p * prev
-    return cur if cur.ndim else float(cur)
+    h = _hermite_table(n, x.reshape(-1, 1))[0, n].reshape(x.shape)
+    return h if h.ndim else float(h)
 
 
 def _hermite_table(max_degree: int, pts: np.ndarray) -> np.ndarray:

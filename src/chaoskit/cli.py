@@ -253,7 +253,7 @@ def _cmd_edet(args: argparse.Namespace) -> int:
             est = estimate_expected_det(pair, k, n_samples=samples, seed=args.seed)
             breakdown = replace(breakdown, mc=est)
         results.append(breakdown)
-    dicts = [kio.breakdown_to_dict(b) for b in results]
+    dicts = [asdict(b) for b in results]
     rows = []
     for d in dicts:
         row = dict(d)
@@ -332,8 +332,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         seed = instance_seed(args.seed, 90, trial)
         pair = mal.random_pair(args.dim, n, n, seed)
         res = mal.covariance_inequality(pair, tol_rel=args.tol_rel)
-        # det C = 0 (e.g. d = 1) leaves the ratio undefined: null, not Infinity
-        ratio = res.lhs / res.rhs if res.rhs > 0 else None
+        # density's rule for det C = 0 (e.g. d = 1): rhs is then rounding noise
+        # and the ratio undefined, so null rather than a number made of noise
+        degenerate = mal.cov_det(pair) <= mal.default_density_tol(pair)
+        ratio = None if degenerate else res.lhs / res.rhs
         row = {
             "trial": trial,
             "seed": seed,

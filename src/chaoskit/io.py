@@ -1,32 +1,26 @@
-"""JSON file formats for tensors, chaos expansions, pairs, and reports.
+"""JSON file formats for tensors and pairs.
 
 Tensor files list only nonzero entries; unlisted coefficients are zero
 and listed ones must be finite.
 A tensor stored with "symmetric": true is verified on load and rejected
-if the coefficients are not actually symmetric; for non-symmetric files
-the loader can be asked to symmetrize instead.
+if the coefficients are not actually symmetric.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict
 from itertools import chain
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
-from .malliavin import DetBreakdown, MalliavinPair
-from .tensor import Tensor, is_symmetric, symmetrize
-from .chaos import ChaosExpansion
+from .malliavin import MalliavinPair
+from .tensor import Tensor, is_symmetric
 
 __all__ = [
     "SchemaError",
-    "breakdown_to_dict",
-    "chaos_from_dict",
-    "chaos_to_dict",
     "load_pair",
     "load_tensor",
     "pair_from_dict",
@@ -126,7 +120,7 @@ def _entry_arrays(entries: list, dim: int, order: int) -> tuple[np.ndarray, np.n
     raise AssertionError("bulk entry checks refused entries that each pass")
 
 
-def tensor_from_dict(obj: dict, request_symmetrize: bool = False) -> Tensor:
+def tensor_from_dict(obj: dict) -> Tensor:
     if not isinstance(obj, dict):
         raise SchemaError("tensor: document must be an object")
     dim = _require(obj, "dim", int, "tensor")
@@ -142,13 +136,11 @@ def tensor_from_dict(obj: dict, request_symmetrize: bool = False) -> Tensor:
     t = Tensor(dim, order, coeffs.reshape((dim,) * order), symmetric=flagged)
     if flagged and not is_symmetric(t):
         raise SchemaError("tensor: flagged symmetric but coefficients are not")
-    if request_symmetrize and not flagged:
-        return symmetrize(t)
     return t
 
 
-def load_tensor(path: PathLike, request_symmetrize: bool = False) -> Tensor:
-    return tensor_from_dict(_read_json(path), request_symmetrize)
+def load_tensor(path: PathLike) -> Tensor:
+    return tensor_from_dict(_read_json(path))
 
 
 def save_tensor(t: Tensor, path: PathLike, seed: Optional[int] = None) -> None:
@@ -156,41 +148,6 @@ def save_tensor(t: Tensor, path: PathLike, seed: Optional[int] = None) -> None:
     if seed is not None:
         doc["seed"] = seed
     _write_json(doc, path)
-
-
-# -- chaos expansions ---------------------------------------------------------
-
-
-def chaos_to_dict(F: ChaosExpansion) -> dict:
-    return {
-        "dim": F.dim,
-        "terms": [
-            {"order": k, "tensor": tensor_to_dict(t)}
-            for k, t in sorted(F.terms.items())
-        ],
-    }
-
-
-def chaos_from_dict(obj: dict) -> ChaosExpansion:
-    if not isinstance(obj, dict):
-        raise SchemaError("chaos expansion: document must be an object")
-    dim = _require(obj, "dim", int, "chaos expansion")
-    raw_terms = _require(obj, "terms", list, "chaos expansion")
-    terms = {}
-    for pos, item in enumerate(raw_terms):
-        where = f"chaos term {pos}"
-        if not isinstance(item, dict):
-            raise SchemaError(f"{where}: must be an object")
-        order = _require(item, "order", int, where)
-        tensor = tensor_from_dict(
-            _require(item, "tensor", dict, where), request_symmetrize=True
-        )
-        if tensor.dim != dim or tensor.order != order:
-            raise SchemaError(f"{where}: tensor shape disagrees with dim/order")
-        if order in terms:
-            raise SchemaError(f"{where}: duplicate order {order}")
-        terms[order] = tensor
-    return ChaosExpansion(dim, terms)
 
 
 # -- pairs --------------------------------------------------------------------
@@ -235,13 +192,7 @@ def save_pair(pair: MalliavinPair, path: PathLike, seed: Optional[int] = None) -
     _write_json(pair_to_dict(pair, seed=seed), path)
 
 
-# -- reports ------------------------------------------------------------------
-
-
-def breakdown_to_dict(b: DetBreakdown) -> dict:
-    """The breakdown's fields in declaration order; an attached Estimate
-    becomes its own field dict."""
-    return asdict(b)
+# -- files --------------------------------------------------------------------
 
 
 def _read_json(path: PathLike) -> dict:

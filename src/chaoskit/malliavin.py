@@ -411,7 +411,7 @@ class DetBreakdown:
     remainder: float
     closed_form: float
     symbolic: float
-    mc: Optional[object] = None  # mc_engine.Estimate when requested
+    mc: Optional[object] = None  # mc.Estimate when requested
 
 
 def expected_det_closed_form(pair: MalliavinPair, k: int) -> DetBreakdown:

@@ -182,6 +182,19 @@ class TestEdet:
         assert [r["k"] for r in json.loads(out)["results"]] == [1, 2, 3]
         assert len(built) == 1
 
+    def test_report_fields(self, pair_file, capsys):
+        from chaoskit.malliavin import expected_det_closed_form
+
+        code, out, _ = run(capsys, "edet", "--pair", str(pair_file), "--k", "all")
+        assert code == 0
+        pair = load_pair(pair_file)
+        for r in json.loads(out)["results"]:
+            assert list(r) == ["k", "t0", "tr", "remainder", "closed_form", "symbolic", "mc"]
+            assert r["mc"] is None
+            assert r["closed_form"] == pytest.approx(r["t0"] + sum(r["tr"]))
+            # the JSON round trip keeps every bit of the closed form
+            assert r["closed_form"] == expected_det_closed_form(pair, r["k"]).closed_form
+
     def test_k_out_of_range(self, pair_file, capsys):
         code, _, err = run(capsys, "edet", "--pair", str(pair_file), "--k", "3")
         assert code == 2
@@ -194,7 +207,8 @@ class TestEdet:
         )
         doc = json.loads(out)
         mc = doc["results"][0]["mc"]
-        assert mc is not None
+        assert set(mc) == {"mean", "stderr", "samples", "seed"}
+        assert (mc["samples"], mc["seed"]) == (20000, 3)
         assert abs(mc["mean"] - 12.0) <= 5 * mc["stderr"]
 
     def test_csv_output(self, pair_file, tmp_path, capsys):
@@ -322,18 +336,37 @@ class TestSweep:
         assert code == 2
 
     def test_zero_covariance_gives_null_ratio(self, capsys):
-        # d = 1: det C = 0 up to rounding, so lhs / rhs is undefined where rhs <= 0
+        # d = 1: det C = 0 up to rounding, and density calls every trial
+        # DEGENERATE, so lhs / rhs is undefined even where rhs rounds above 0
+        from chaoskit.malliavin import Verdict, density_check, random_pair
+
         argv = ("sweep", "--order", "3", "--dim", "1", "--trials", "4", "--seed", "0")
         code, out, _ = run(capsys, *argv)
         assert code == 0
         doc = strict_json(out)
-        assert any(row["ratio"] is None for row in doc["rows"])
-        assert all((row["ratio"] is None) == (row["rhs"] <= 0) for row in doc["rows"])
-        ratios = [row["ratio"] for row in doc["rows"] if row["ratio"] is not None]
-        assert doc["min_ratio"] == min(ratios, default=None)
+        assert any(row["rhs"] > 0 for row in doc["rows"])
+        for row in doc["rows"]:
+            pair = random_pair(1, 3, 3, row["seed"])
+            assert density_check(pair).verdict is Verdict.DEGENERATE
+        assert [row["ratio"] for row in doc["rows"]] == [None] * 4
+        assert doc["min_ratio"] is None
         code, out, _ = run(capsys, *argv, "--output", "csv")
         rows = list(csv.DictReader(out.splitlines()))
-        assert [row["ratio"] == "" for row in rows] == [r["ratio"] is None for r in doc["rows"]]
+        assert [row["ratio"] for row in rows] == [""] * 4
+
+    def test_ratio_null_exactly_where_density_calls_det_c_zero(self, capsys):
+        from chaoskit.malliavin import cov_det, default_density_tol, random_pair
+
+        for dim in (1, 2):
+            argv = ("sweep", "--order", "2", "--dim", str(dim), "--trials", "6")
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            for row in strict_json(out)["rows"]:
+                pair = random_pair(dim, 2, 2, row["seed"])
+                degenerate = cov_det(pair) <= default_density_tol(pair)
+                assert (row["ratio"] is None) == degenerate
+                if not degenerate:
+                    assert row["ratio"] == row["lhs"] / row["rhs"]
 
     def test_min_ratio_null_without_ratios(self, capsys, monkeypatch):
         from chaoskit.malliavin import InequalityResult

@@ -9,12 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from chaoskit.chaos import ChaosExpansion
 from chaoskit.io import (
     SchemaError,
-    breakdown_to_dict,
-    chaos_from_dict,
-    chaos_to_dict,
     load_pair,
     load_tensor,
     pair_from_dict,
@@ -24,8 +20,7 @@ from chaoskit.io import (
     tensor_from_dict,
     tensor_to_dict,
 )
-from chaoskit.malliavin import expected_det_closed_form, random_pair
-from chaoskit.mc import Estimate
+from chaoskit.malliavin import random_pair
 from chaoskit.tensor import (
     Tensor,
     basis_tensor,
@@ -74,17 +69,6 @@ class TestTensorFormat:
         with pytest.raises(SchemaError):
             tensor_from_dict(doc)
 
-    def test_requested_symmetrization(self):
-        doc = {
-            "dim": 2,
-            "order": 2,
-            "symmetric": False,
-            "entries": [{"index": [0, 1], "value": 2.0}],
-        }
-        t = tensor_from_dict(doc, request_symmetrize=True)
-        assert t.symmetric
-        assert t[0, 1] == 1.0 and t[1, 0] == 1.0
-
     def test_missing_key(self):
         with pytest.raises(SchemaError):
             tensor_from_dict({"dim": 2, "order": 1, "symmetric": True})
@@ -128,37 +112,6 @@ class TestTensorFormat:
         assert t[0] == 1.0
 
 
-class TestChaosFormat:
-    def test_round_trip(self):
-        F = ChaosExpansion.integral(random_symmetric(2, 2, 5)) + ChaosExpansion.constant(
-            2, 1.25
-        )
-        back = chaos_from_dict(chaos_to_dict(F))
-        assert set(back.terms) == set(F.terms)
-        for k in F.terms:
-            assert tensors_allclose(back.terms[k], F.terms[k], rel=0)
-
-    def test_unflagged_term_is_symmetrized(self):
-        raw = Tensor(2, 2, np.array([[0.0, 2.0], [0.0, 0.0]]))
-        doc = {"dim": 2, "terms": [{"order": 2, "tensor": tensor_to_dict(raw)}]}
-        term = chaos_from_dict(doc).terms[2]
-        assert term.symmetric
-        assert tensors_allclose(term, symmetrize(raw), rel=0)
-
-    def test_flagged_asymmetric_term_rejected(self):
-        doc = {"dim": 2, "terms": [{"order": 2, "tensor": tensor_to_dict(
-            Tensor(2, 2, np.array([[0.0, 2.0], [0.0, 0.0]])))}]}
-        doc["terms"][0]["tensor"]["symmetric"] = True
-        with pytest.raises(SchemaError, match="flagged symmetric"):
-            chaos_from_dict(doc)
-
-    def test_duplicate_order_rejected(self):
-        doc = chaos_to_dict(ChaosExpansion.constant(2, 1.0))
-        doc["terms"].append(doc["terms"][0])
-        with pytest.raises(SchemaError):
-            chaos_from_dict(doc)
-
-
 class TestPairFormat:
     def test_round_trip(self, tmp_path):
         pair = random_pair(2, 2, 3, 7)
@@ -189,40 +142,6 @@ class TestPairFormat:
         path.write_text("not json")
         with pytest.raises(SchemaError):
             load_pair(path)
-
-
-class TestBreakdownFormat:
-    def test_fields(self):
-        pair = random_pair(2, 2, 2, 10)
-        b = expected_det_closed_form(pair, 1)
-        doc = breakdown_to_dict(b)
-        assert set(doc) == {"k", "t0", "tr", "remainder", "closed_form", "symbolic", "mc"}
-        assert doc["mc"] is None
-        assert doc["closed_form"] == pytest.approx(doc["t0"] + sum(doc["tr"]))
-
-    def test_with_estimate(self):
-        pair = random_pair(2, 2, 2, 11)
-        b = expected_det_closed_form(pair, 1)
-        from chaoskit.malliavin import DetBreakdown
-
-        b = DetBreakdown(
-            k=b.k,
-            t0=b.t0,
-            tr=b.tr,
-            remainder=b.remainder,
-            closed_form=b.closed_form,
-            symbolic=b.symbolic,
-            mc=Estimate(mean=1.0, stderr=0.1, samples=100, seed=3),
-        )
-        doc = breakdown_to_dict(b)
-        assert doc["mc"] == {"mean": 1.0, "stderr": 0.1, "samples": 100, "seed": 3}
-
-    def test_json_floats_round_trip(self):
-        pair = random_pair(2, 2, 2, 12)
-        b = expected_det_closed_form(pair, 1)
-        doc = breakdown_to_dict(b)
-        again = json.loads(json.dumps(doc))
-        assert again["closed_form"] == b.closed_form
 
 
 # -- bulk entry read/write against the per-entry reference ------------------------
@@ -305,10 +224,10 @@ def reference_tensor_to_dict(t):
     }
 
 
-def outcome(load, doc, **kw):
+def outcome(load, doc):
     """What loading doc gives: the tensor's flag and coefficient bytes, or the error."""
     try:
-        t = load(copy.deepcopy(doc), **kw)
+        t = load(copy.deepcopy(doc))
     except Exception as exc:  # noqa: BLE001 - the exception itself is compared
         return type(exc), str(exc)
     return t.symmetric, t.coeffs.shape, t.coeffs.tobytes()
@@ -402,10 +321,8 @@ class TestBulkEntries:
     def test_well_formed_entries_load_alike(self, entries, order):
         # repeated indices keep the last value, in file order, as before
         for symmetric in (False, True):
-            for request in (False, True):
-                doc = _doc(entries, order=order, symmetric=symmetric)
-                assert outcome(tensor_from_dict, doc, request_symmetrize=request) == \
-                    outcome(reference_tensor_from_dict, doc, request_symmetrize=request)
+            doc = _doc(entries, order=order, symmetric=symmetric)
+            assert outcome(tensor_from_dict, doc) == outcome(reference_tensor_from_dict, doc)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_write_and_read_match_the_reference(self, dim):
