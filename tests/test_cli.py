@@ -182,19 +182,6 @@ class TestEdet:
         assert [r["k"] for r in json.loads(out)["results"]] == [1, 2, 3]
         assert len(built) == 1
 
-    def test_report_fields(self, pair_file, capsys):
-        from chaoskit.malliavin import expected_det_closed_form
-
-        code, out, _ = run(capsys, "edet", "--pair", str(pair_file), "--k", "all")
-        assert code == 0
-        pair = load_pair(pair_file)
-        for r in json.loads(out)["results"]:
-            assert list(r) == ["k", "t0", "tr", "remainder", "closed_form", "symbolic", "mc"]
-            assert r["mc"] is None
-            assert r["closed_form"] == pytest.approx(r["t0"] + sum(r["tr"]))
-            # the JSON round trip keeps every bit of the closed form
-            assert r["closed_form"] == expected_det_closed_form(pair, r["k"]).closed_form
-
     def test_k_out_of_range(self, pair_file, capsys):
         code, _, err = run(capsys, "edet", "--pair", str(pair_file), "--k", "3")
         assert code == 2
@@ -207,7 +194,6 @@ class TestEdet:
         )
         doc = json.loads(out)
         mc = doc["results"][0]["mc"]
-        assert set(mc) == {"mean", "stderr", "samples", "seed"}
         assert (mc["samples"], mc["seed"]) == (20000, 3)
         assert abs(mc["mean"] - 12.0) <= 5 * mc["stderr"]
 

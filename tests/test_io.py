@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from chaoskit import cli
 from chaoskit.io import (
     SchemaError,
     load_pair,
@@ -20,7 +21,8 @@ from chaoskit.io import (
     tensor_from_dict,
     tensor_to_dict,
 )
-from chaoskit.malliavin import random_pair
+from chaoskit.malliavin import expected_det_closed_form, random_pair
+from chaoskit.mc import Estimate
 from chaoskit.tensor import (
     Tensor,
     basis_tensor,
@@ -142,6 +144,33 @@ class TestPairFormat:
         path.write_text("not json")
         with pytest.raises(SchemaError):
             load_pair(path)
+
+
+def edet_results(tmp_path, capsys, pair, *argv):
+    """The `results` of `chaoskit edet --k 1` on `pair`, as written to stdout."""
+    path = tmp_path / "pair.json"
+    save_pair(pair, path)
+    assert cli.main(["edet", "--pair", str(path), "--k", "1", *argv]) == 0
+    return json.loads(capsys.readouterr().out)["results"]
+
+
+class TestBreakdownFormat:
+    def test_fields(self, tmp_path, capsys):
+        (doc,) = edet_results(tmp_path, capsys, random_pair(2, 2, 2, 10))
+        assert list(doc) == ["k", "t0", "tr", "remainder", "closed_form", "symbolic", "mc"]
+        assert doc["mc"] is None
+        assert doc["closed_form"] == pytest.approx(doc["t0"] + sum(doc["tr"]))
+
+    def test_with_estimate(self, tmp_path, capsys, monkeypatch):
+        est = Estimate(mean=1.0, stderr=0.1, samples=100, seed=3)
+        monkeypatch.setattr(cli, "estimate_expected_det", lambda *a, **kw: est)
+        (doc,) = edet_results(tmp_path, capsys, random_pair(2, 2, 2, 11), "--mc")
+        assert doc["mc"] == {"mean": 1.0, "stderr": 0.1, "samples": 100, "seed": 3}
+
+    def test_json_floats_round_trip(self, tmp_path, capsys):
+        pair = random_pair(2, 2, 2, 12)
+        (doc,) = edet_results(tmp_path, capsys, pair)
+        assert doc["closed_form"] == expected_det_closed_form(pair, 1).closed_form
 
 
 # -- bulk entry read/write against the per-entry reference ------------------------
