@@ -35,6 +35,7 @@ from .tensor import (
     Tensor,
     _orbit_average,
     _orbit_sums,
+    _require_array_size,
     _require_same_dim,
     inner,
     orbit_info,
@@ -217,6 +218,9 @@ def _product(
             f"product of orders {n} and {m} needs factorial arguments "
             f"up to {n + m}, above the cap {FACTORIAL_CAP}"
         )
+    slots = x.shape[lead:] + y.shape[lead:]  # the r = 0 term is the largest
+    if slots:
+        _require_array_size("product", slots[0], len(slots))
     for r in range(min(n, m) + 1):
         coeff = math.factorial(r) * math.comb(n, r) * math.comb(m, r)
         axes = tuple(range(lead + r))

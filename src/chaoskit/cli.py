@@ -68,12 +68,6 @@ _REQUIRE = {
 _REQUIRE_IN = {
     ("verify", "dim"): (">= 2", lambda v: v >= 2),  # every check draws d from [2, dim]
 }
-# subcommand -> (gate, what the gate requires, options read only when the gate holds);
-# without the gate these options are refused
-_GATED = {
-    "edet": (lambda a: a.mc, "--mc", ("samples", "seed")),  # edet draws only with --mc
-    "gen": (lambda a: a.kind == "pair", "--kind pair", ("order_g", "proportional")),
-}
 
 
 def _add_shared(p: argparse.ArgumentParser, *flags: str) -> None:
@@ -102,10 +96,10 @@ def _validate(args: argparse.Namespace) -> None:
         value = getattr(args, dest, None)
         if value is not None and not ok(value):
             raise ValueError(f"--{dest.replace('_', '-')} must be {need}, got {value}")
-    gate, needs, gated = _GATED.get(args.subcommand, (None, None, ()))
-    for dest in gated:
-        if getattr(args, dest) is not None and not gate(args):
-            raise ValueError(f"--{dest.replace('_', '-')} requires {needs}")
+    if not draws:  # edet draws only with --mc, so it refuses its sampling options
+        for dest in ("samples", "seed"):
+            if getattr(args, dest) is not None:
+                raise ValueError(f"--{dest} requires --mc")
 
 
 @lru_cache(maxsize=None)
@@ -153,8 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True, help="common chaos order n >= 2")
     _add_shared(p, "--dim", "--trials", "--seed", "--tol-rel", "--output", "-o")
 
-    p = sub.add_parser("gen", help="write a random tensor or pair file")
-    p.add_argument("--kind", choices=("pair", "tensor"), default="pair")
+    p = sub.add_parser("gen", help="write a random pair file")
     p.add_argument("--order", type=int, default=2, help="order of f")
     p.add_argument("--order-g", type=int, default=None, help="order of g (default: order)")
     p.add_argument(
@@ -334,7 +327,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         res = mal.covariance_inequality(pair, tol_rel=args.tol_rel)
         # density's rule for det C = 0 (e.g. d = 1): rhs is then rounding noise
         # and the ratio undefined, so null rather than a number made of noise
-        degenerate = mal.cov_det(pair) <= mal.default_density_tol(pair)
+        degenerate = res.cov_det <= mal.default_density_tol(pair)
         ratio = None if degenerate else res.lhs / res.rhs
         row = {
             "trial": trial,
@@ -379,23 +372,19 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     order = args.order
     if order < 1:
         raise ValueError(f"--order must be >= 1, got {order}")
-    if args.kind == "tensor":
-        t = random_symmetric(args.dim, order, args.seed)
-        kio.save_tensor(t, args.out_path, seed=args.seed)
+    order_g = args.order_g if args.order_g is not None else order
+    if args.proportional is not None:
+        if order_g != order:
+            raise ValueError("--proportional requires equal orders for f and g")
+        f = random_symmetric(args.dim, order, args.seed)
+        pair = mal.MalliavinPair(f, f.scaled(args.proportional))
     else:
-        order_g = args.order_g if args.order_g is not None else order
-        if args.proportional is not None:
-            if order_g != order:
-                raise ValueError("--proportional requires equal orders for f and g")
-            f = random_symmetric(args.dim, order, args.seed)
-            pair = mal.MalliavinPair(f, f.scaled(args.proportional))
-        else:
-            if order_g < 1:
-                raise ValueError(f"--order-g must be >= 1, got {order_g}")
-            f = random_symmetric(args.dim, order, np.random.SeedSequence([args.seed, 0]))
-            g = random_symmetric(args.dim, order_g, np.random.SeedSequence([args.seed, 1]))
-            pair = mal.MalliavinPair(f, g)
-        kio.save_pair(pair, args.out_path, seed=args.seed)
+        if order_g < 1:
+            raise ValueError(f"--order-g must be >= 1, got {order_g}")
+        f = random_symmetric(args.dim, order, np.random.SeedSequence([args.seed, 0]))
+        g = random_symmetric(args.dim, order_g, np.random.SeedSequence([args.seed, 1]))
+        pair = mal.MalliavinPair(f, g)
+    kio.save_pair(pair, args.out_path, seed=args.seed)
     sys.stdout.write(json.dumps({"written": args.out_path, "seed": args.seed}) + "\n")
     return 0
 

@@ -1,9 +1,10 @@
-"""JSON file formats for tensors and pairs.
+"""JSON file format for pairs, with a codec for their tensor components.
 
-Tensor files list only nonzero entries; unlisted coefficients are zero
-and listed ones must be finite.
-A tensor stored with "symmetric": true is verified on load and rejected
-if the coefficients are not actually symmetric.
+A component lists only its nonzero entries; unlisted coefficients are
+zero and listed ones must be finite.  A component stored with
+"symmetric": true is verified on load and rejected if the coefficients
+are not actually symmetric.  One whose dense array would exceed
+``tensor.MAX_ARRAY_BYTES`` is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -17,16 +18,14 @@ from typing import Optional, Union
 import numpy as np
 
 from .malliavin import MalliavinPair
-from .tensor import Tensor, is_symmetric
+from .tensor import Tensor, _require_array_size, is_symmetric
 
 __all__ = [
     "SchemaError",
     "load_pair",
-    "load_tensor",
     "pair_from_dict",
     "pair_to_dict",
     "save_pair",
-    "save_tensor",
     "tensor_from_dict",
     "tensor_to_dict",
 ]
@@ -55,7 +54,7 @@ def _require(obj: dict, key: str, kind, where: str):
     return value
 
 
-# -- tensors -----------------------------------------------------------------
+# -- pair components ----------------------------------------------------------
 
 
 def tensor_to_dict(t: Tensor) -> dict:
@@ -129,6 +128,7 @@ def tensor_from_dict(obj: dict) -> Tensor:
     entries = _require(obj, "entries", list, "tensor")
     if dim < 1 or order < 0:
         raise SchemaError(f"tensor: invalid dim {dim} or order {order}")
+    _require_array_size("tensor", dim, order, SchemaError)
     index, values = _entry_arrays(entries, dim, order)
     coeffs = np.zeros(dim**order)
     # row-major positions; a repeated index keeps its last value in file order
@@ -137,17 +137,6 @@ def tensor_from_dict(obj: dict) -> Tensor:
     if flagged and not is_symmetric(t):
         raise SchemaError("tensor: flagged symmetric but coefficients are not")
     return t
-
-
-def load_tensor(path: PathLike) -> Tensor:
-    return tensor_from_dict(_read_json(path))
-
-
-def save_tensor(t: Tensor, path: PathLike, seed: Optional[int] = None) -> None:
-    doc = tensor_to_dict(t)
-    if seed is not None:
-        doc["seed"] = seed
-    _write_json(doc, path)
 
 
 # -- pairs --------------------------------------------------------------------

@@ -81,7 +81,6 @@ __all__ = [
     "covariance_inequality",
     "density_check",
     "det_chaos",
-    "det_gram_eval",
     "expected_det",
     "expected_det_chaos",
     "expected_det_closed_form",
@@ -221,14 +220,21 @@ def expected_det_chaos(pair: MalliavinPair, k: int) -> float:
 # -- pointwise route: sum of squared minors ----------------------------------
 
 
-def _orbit_coordinates(pair: MalliavinPair, k: int, xi):
-    """D^k F and D^k G at the orbit representatives of [0,d)^k, (p, N)
-    each, the orbit sizes w, and whether xi was a single point.
+def sum_of_squares_eval(pair: MalliavinPair, k: int, xi):
+    """det of the k-th Malliavin matrix at xi via the squared-minor form.
 
-    The coordinate of D^k I_n(f) at rep j is n!/(n-k)! I_{n-k}(f_j), f_j
-    the slice of f at j: the slices at every rep are stacked, their
-    orbit sums taken in one batch (one row per rep) and scaled after
-    summing, then applied to monomials from one Hermite table.
+    1/2 sum_{i, l} (A_i B_l - A_l B_i)^2 over all pairs of k-multi-indices,
+    with A, B the derivative coordinates of F, G at xi.  Coordinates are
+    equal within a permutation orbit, so this is evaluated as
+    sum_{i < l} w_i w_l (a_i b_l - a_l b_i)^2 over orbit representatives
+    with orbit sizes w, one pair at a time in a fixed order.  The
+    coordinate of D^k I_n(f) at rep j is n!/(n-k)! I_{n-k}(f_j), f_j the
+    slice of f at j: the slices at every rep are stacked, their orbit
+    sums taken in one batch (one row per rep) and scaled after summing,
+    then applied to monomials from one Hermite table.  Nonnegative
+    pointwise by construction, equal as a polynomial to the evaluated
+    symbolic determinant, and a point's value does not depend on the
+    batch it is in.  Accepts one point (d,) or a batch (N, d).
     """
     _check_k(pair, k)
     pts, single = as_points(xi, pair.dim)
@@ -242,46 +248,14 @@ def _orbit_coordinates(pair: MalliavinPair, k: int, xi):
         sums, _ = _orbit_sums(f.coeffs[reps], orbit_info(pair.dim, q))
         out = np.zeros((len(info_k.reps), pts.shape[0]))
         coords.append(_accumulate(out, float(checked_perm(f.order, k)) * sums, monomials[q]))
-    return coords[0], coords[1], info_k.counts.astype(np.float64), single
-
-
-def sum_of_squares_eval(pair: MalliavinPair, k: int, xi):
-    """det of the k-th Malliavin matrix at xi via the squared-minor form.
-
-    1/2 sum_{i, l} (A_i B_l - A_l B_i)^2 over all pairs of k-multi-indices,
-    with A, B the derivative coordinates of F, G at xi.  Coordinates are
-    equal within a permutation orbit, so this is evaluated as
-    sum_{i < l} w_i w_l (a_i b_l - a_l b_i)^2 over orbit representatives
-    with orbit sizes w, one pair at a time in a fixed order.  Nonnegative
-    pointwise by construction, equal as a polynomial to the evaluated
-    symbolic determinant, and a point's value does not depend on the
-    batch it is in.  Accepts one point (d,) or a batch (N, d).
-    """
-    a, b, w, single = _orbit_coordinates(pair, k, xi)
-    out = np.zeros(a.shape[1])
+    a, b = coords
+    w = info_k.counts.astype(np.float64)
+    out = np.zeros(pts.shape[0])
     for i in range(len(w)):
         for l in range(i + 1, len(w)):
             minor = a[i] * b[l] - a[l] * b[i]
             out += (w[i] * w[l]) * (minor * minor)
     return float(out[0]) if single else out
-
-
-def det_gram_eval(pair: MalliavinPair, k: int, xi):
-    """2x2 determinant of the evaluated Gram entries (debug cross-check).
-
-    (sum w a^2)(sum w b^2) - (sum w a b)^2 on the orbit-representative
-    coordinates of :func:`sum_of_squares_eval`, summed in a fixed order.
-    Agrees with it as a polynomial but is not guaranteed nonnegative
-    under rounding.
-    """
-    a, b, w, single = _orbit_coordinates(pair, k, xi)
-    aa, ab, bb = (np.zeros(a.shape[1]) for _ in range(3))
-    for i in range(len(w)):
-        aa += w[i] * (a[i] * a[i])
-        ab += w[i] * (a[i] * b[i])
-        bb += w[i] * (b[i] * b[i])
-    det = aa * bb - ab * ab
-    return float(det[0]) if single else det
 
 
 # -- closed-form route: one contraction table per pair -----------------------
@@ -467,7 +441,7 @@ def _check_tol(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class InequalityResult:
-    """lhs >= rhs, and edet1 >= direct_bound for n <= 4."""
+    """lhs >= rhs, and edet1 >= direct_bound for n <= 4; rhs = n^2 cov_det."""
 
     lhs: float
     rhs: float
@@ -475,6 +449,7 @@ class InequalityResult:
     edet1: float
     direct_bound: Optional[float]
     direct_holds: Optional[bool]
+    cov_det: float
 
 
 def covariance_inequality(pair: MalliavinPair, tol_rel: float = 1e-9) -> InequalityResult:
@@ -504,7 +479,7 @@ def covariance_inequality(pair: MalliavinPair, tol_rel: float = 1e-9) -> Inequal
         bound = n**2 / (n - 1) ** 2 * c
         direct_holds = dets[0] >= bound - tol_rel * max(1.0, abs(dets[0]), abs(bound))
     holds = lhs >= rhs - tol_rel * max(1.0, abs(lhs), abs(rhs))
-    return InequalityResult(lhs, rhs, holds, dets[0], bound, direct_holds)
+    return InequalityResult(lhs, rhs, holds, dets[0], bound, direct_holds, c)
 
 
 class Verdict(str, Enum):

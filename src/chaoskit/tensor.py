@@ -25,6 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 __all__ = [
+    "MAX_ARRAY_BYTES",
     "Tensor",
     "basis_tensor",
     "basis_vector",
@@ -39,6 +40,24 @@ __all__ = [
     "tensor_product",
     "tensors_allclose",
 ]
+
+
+# the largest dense array that pair loading, contract and the product formula
+# build; a larger one is refused up front, not found as an out-of-memory error
+MAX_ARRAY_BYTES = 2**30
+
+
+def _require_array_size(what: str, dim: int, order: int, error=ValueError) -> None:
+    """Refuse a dense array of dim**order doubles above MAX_ARRAY_BYTES.
+
+    Checked in integer arithmetic, before anything is allocated.
+    """
+    nbytes = 8 * dim**order
+    if nbytes > MAX_ARRAY_BYTES:
+        raise error(
+            f"{what}: dim {dim} and order {order} need {nbytes} bytes, "
+            f"above the cap of {MAX_ARRAY_BYTES} bytes"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,11 +288,12 @@ def contract(f: Tensor, g: Tensor, r: int) -> Tensor:
         )
     if r > 0 and not (f.symmetric and g.symmetric):
         raise ValueError("contraction with r > 0 requires symmetric operands")
+    order = f.order + g.order - 2 * r
+    _require_array_size("contraction", f.dim, order)
     axes = (tuple(range(r)), tuple(range(r)))
     out = np.tensordot(f.coeffs, g.coeffs, axes=axes) if r else np.multiply.outer(
         f.coeffs, g.coeffs
     )
-    order = f.order + g.order - 2 * r
     if order <= 1:
         sym = True
     elif f.order - r == 0:

@@ -114,6 +114,12 @@ class TestMultiply:
         with pytest.raises(ValueError):
             multiply(I(e1), I(basis_vector(3, 0)))
 
+    def test_oversized_product_refused(self):
+        # the r = 0 term would hold 100^6 doubles (8 TB): refused before allocating
+        F = I(random_symmetric(100, 3, 1))
+        with pytest.raises(ValueError, match="product: dim 100 and order 6 need 8000000000000"):
+            multiply(F, F)
+
 
 class TestExpectation:
     def test_centered(self):

@@ -10,7 +10,7 @@ import pytest
 
 from chaoskit import cli
 from chaoskit.cli import main
-from chaoskit.io import load_pair, load_tensor
+from chaoskit.io import load_pair
 from chaoskit.mc import DEFAULT_SAMPLES
 
 
@@ -37,7 +37,7 @@ OPTIONS = {
     "density": ("--pair", "--tol-abs", "--output", "-o"),
     "mc": ("--pair", "--k", "--dump", "--samples", "--seed", "--output", "-o"),
     "sweep": ("--order", "--dim", "--trials", "--seed", "--tol-rel", "--output", "-o"),
-    "gen": ("--kind", "--order", "--order-g", "--proportional", "--dim", "--seed", "-o"),
+    "gen": ("--order", "--order-g", "--proportional", "--dim", "--seed", "-o"),
 }
 # the options several subcommands take; a subcommand that does not read one refuses it
 SHARED = ("--dim", "--max-order", "--trials", "--samples", "--seed", "--tol-rel", "--tol-abs",
@@ -74,7 +74,7 @@ class TestGen:
     def test_pair_round_trip(self, tmp_path, capsys):
         path = tmp_path / "pair.json"
         code, out, _ = run(
-            capsys, "gen", "--kind", "pair", "--dim", "2", "--order", "2",
+            capsys, "gen", "--dim", "2", "--order", "2",
             "--seed", "5", "-o", str(path),
         )
         assert code == 0
@@ -100,29 +100,18 @@ class TestGen:
 
         assert np.allclose(pair.g.coeffs, 2.5 * pair.f.coeffs)
 
-    def test_tensor_kind(self, tmp_path, capsys):
-        path = tmp_path / "t.json"
-        code, _, _ = run(
-            capsys, "gen", "--kind", "tensor", "--dim", "3", "--order", "2",
-            "--seed", "4", "-o", str(path),
-        )
-        assert code == 0
-        t = load_tensor(path)
-        assert (t.dim, t.order) == (3, 2)
-        assert json.loads(path.read_text())["seed"] == 4
-
     def test_requires_output_path(self, capsys):
         code, _, err = run(capsys, "gen", "--dim", "2", "--order", "2")
         assert code == 2
         assert "output path" in err
 
-    @pytest.mark.parametrize("flag, value", [("--order-g", "3"), ("--proportional", "2.5")])
-    def test_tensor_kind_refuses_pair_options(self, flag, value, tmp_path, capsys):
+    def test_kind_option_refused(self, tmp_path, capsys):
+        # gen writes only pair files, the one file format a command reads
         path = tmp_path / "t.json"
-        code, out, err = run(capsys, "gen", "--kind", "tensor", "--dim", "2", flag, value,
-                             "-o", str(path))
-        assert code == 2 and out == ""
-        assert err == f"chaoskit gen: error: {flag} requires --kind pair\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--kind", "tensor", "-o", str(path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --kind tensor" in capsys.readouterr().err
         assert not path.exists()
 
 
@@ -270,6 +259,21 @@ class TestDensity:
         assert code == 2
         assert "equal chaos orders" in err
 
+    def test_oversized_pair_file_exits_2(self, tmp_path, capsys):
+        # each component would be 1000^4 doubles (7.3 TiB): refused before allocating
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"dim": 1000, "n": 4, "m": 4,\n'
+            ' "f": {"dim": 1000, "order": 4, "symmetric": true, "entries": []},\n'
+            ' "g": {"dim": 1000, "order": 4, "symmetric": true, "entries": []}}\n'
+        )
+        code, out, err = run(capsys, "density", "--pair", str(path))
+        assert code == 2 and out == ""
+        assert err == (
+            "chaoskit density: error: tensor: dim 1000 and order 4 need 8000000000000 "
+            "bytes, above the cap of 1073741824 bytes\n"
+        )
+
 
 class TestMc:
     def test_runs_and_reports(self, anchor_file, capsys, tmp_path):
@@ -354,11 +358,20 @@ class TestSweep:
                 if not degenerate:
                     assert row["ratio"] == row["lhs"] / row["rhs"]
 
+    def test_one_det_c_per_trial(self, capsys, monkeypatch):
+        calls = []
+        cov_det = cli.mal.cov_det
+        monkeypatch.setattr(cli.mal, "cov_det", lambda pair: calls.append(pair) or cov_det(pair))
+        code, _, _ = run(capsys, "sweep", "--order", "3", "--dim", "2", "--trials", "3")
+        assert code == 0
+        assert len(calls) == 3
+
     def test_min_ratio_null_without_ratios(self, capsys, monkeypatch):
         from chaoskit.malliavin import InequalityResult
 
         monkeypatch.setattr(cli.mal, "covariance_inequality",
-                            lambda pair, tol_rel: InequalityResult(0.0, 0.0, True, 0.0, None, None))
+                            lambda pair, tol_rel: InequalityResult(0.0, 0.0, True, 0.0, None,
+                                                                   None, 0.0))
         code, out, _ = run(capsys, "sweep", "--order", "5", "--dim", "1", "--trials", "2")
         assert code == 0
         doc = strict_json(out)

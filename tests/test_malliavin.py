@@ -25,7 +25,6 @@ from chaoskit.malliavin import (
     covariance_inequality,
     density_check,
     det_chaos,
-    det_gram_eval,
     expected_det,
     expected_det_chaos,
     expected_det_closed_form,
@@ -38,6 +37,7 @@ from chaoskit.malliavin import (
     tr_term_direct,
 )
 from chaoskit.tensor import (
+    Tensor,
     basis_tensor,
     basis_vector,
     contract,
@@ -202,18 +202,30 @@ class TestSumOfSquares:
         pair = random_pair(3, 2, 3, 29)
         pts = np.random.default_rng(2).standard_normal((40, 3))
         a = sum_of_squares_eval(pair, 1, pts)
-        b = det_gram_eval(pair, 1, pts)
+        b = full_gram_form(pair, 1, pts)
         assert np.allclose(a, b, rtol=1e-9, atol=1e-9)
+
+
+def full_coordinates(pair, k, pts):
+    """D^k F and D^k G at pts, (N, d^k) each, over all d^k multi-indices."""
+    idx = list(itertools.product(range(pair.dim), repeat=k))
+    dF, dG = (derivative(ChaosExpansion.integral(t), k) for t in (pair.f, pair.g))
+    return (np.stack([evaluate(dX[i], pts) for i in idx], axis=1) for dX in (dF, dG))
 
 
 def full_minor_form(pair, k, pts):
     """Oracle: 1/2 sum_{i,l} (A_i B_l - A_l B_i)^2 over all d^k multi-indices."""
-    idx = list(itertools.product(range(pair.dim), repeat=k))
-    dF, dG = (derivative(ChaosExpansion.integral(t), k) for t in (pair.f, pair.g))
-    A = np.stack([evaluate(dF[i], pts) for i in idx], axis=1)
-    B = np.stack([evaluate(dG[i], pts) for i in idx], axis=1)
+    A, B = full_coordinates(pair, k, pts)
     minors = A[:, :, None] * B[:, None, :] - A[:, None, :] * B[:, :, None]
     return 0.5 * np.einsum("nij,nij->n", minors, minors)
+
+
+def full_gram_form(pair, k, pts):
+    """Oracle: the 2x2 Gram determinant |A|^2 |B|^2 - <A, B>^2 of the
+    evaluated coordinates (equal to the minor form by Lagrange's identity,
+    but not nonnegative under rounding)."""
+    A, B = full_coordinates(pair, k, pts)
+    return np.sum(A * A, 1) * np.sum(B * B, 1) - np.sum(A * B, 1) ** 2
 
 
 # (d, n, m, k): d = 1 (one orbit, no pairs), unequal orders, k = 1, and
@@ -241,10 +253,8 @@ class TestOrbitWeightedRoute:
         pair = random_pair(d, n, m, 2000 + d + n + m)
         pts = np.random.default_rng(5).standard_normal((9, d))
         sos = sum_of_squares_eval(pair, k, pts)
-        gram = det_gram_eval(pair, k, pts)
         for i in range(len(pts)):
             assert sos[i] == sum_of_squares_eval(pair, k, pts[i])
-            assert gram[i] == det_gram_eval(pair, k, pts[i])
         assert np.array_equal(sos[3:7], sum_of_squares_eval(pair, k, pts[3:7]))
 
     @pytest.mark.parametrize("d, n, m, k", _ORBIT_CASES)
@@ -252,7 +262,7 @@ class TestOrbitWeightedRoute:
         pair = random_pair(d, n, m, 3000 + d + n + m)
         pts = np.random.default_rng(6).standard_normal((25, d))
         sos = sum_of_squares_eval(pair, k, pts)
-        gram = det_gram_eval(pair, k, pts)
+        gram = full_gram_form(pair, k, pts)
         np.testing.assert_allclose(gram, sos, rtol=1e-9, atol=1e-9 * max(1.0, float(np.max(sos))))
 
 
@@ -669,6 +679,45 @@ class TestDensityCheck:
         # an inf threshold calls every pair DEGENERATE; a nan one passes no test
         with pytest.raises(ValueError, match="tol_abs must be finite and > 0"):
             density_check(worked_pair, tol_abs=tol)
+
+
+def rotated(t, q):
+    """t with the orthogonal matrix q applied on every axis."""
+    c = t.coeffs
+    for axis in range(t.order):
+        c = np.moveaxis(np.tensordot(q, c, axes=(1, axis)), 0, axis)
+    return symmetrize(Tensor(t.dim, t.order, c))
+
+
+_ROTATION_CASES = [(d, n, m) for d in (2, 3) for n in range(1, 5) for m in range(1, 5)]
+
+
+class TestRotationInvariance:
+    """The law of (I_n(f), I_m(g)) is unchanged when one orthogonal Q acts on
+    every axis of f and g (the basis is rotated), so every E det, det C and
+    the density verdict are too."""
+
+    @pytest.mark.parametrize("d, n, m", _ROTATION_CASES)
+    def test_invariants_unchanged(self, d, n, m):
+        seed = 4000 + 100 * d + 10 * n + m
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        pair = random_pair(d, n, m, seed)
+        turned = MalliavinPair(rotated(pair.f, q), rotated(pair.g, q))
+        np.testing.assert_allclose(expected_dets(turned), expected_dets(pair),
+                                   rtol=1e-12, atol=0)
+        if n != m:
+            return
+        assert cov_det(turned) == pytest.approx(cov_det(pair), rel=1e-12, abs=0)
+        # a proportional pair too, so both verdicts are exercised; its values
+        # are rounding noise around 0, so only the verdict is compared
+        prop = MalliavinPair(pair.f, pair.f.scaled(-1.5))
+        prop_turned = MalliavinPair(rotated(prop.f, q), rotated(prop.g, q))
+        for before, after in ((pair, turned), (prop, prop_turned)):
+            b, a = density_check(before), density_check(after)
+            assert (a.verdict, a.consistent) == (b.verdict, b.consistent)
+        assert density_check(prop).verdict is Verdict.DEGENERATE
+        assert density_check(pair).verdict is Verdict.ABSOLUTELY_CONTINUOUS
 
 
 class TestCombinatorialCoeffs:

@@ -114,6 +114,13 @@ class TestContract:
             contract(raw, raw, 1)
         contract(raw, raw, 0)  # r = 0 works on anything
 
+    def test_oversized_result_refused(self):
+        # 100^6 doubles (8 TB): refused before numpy is asked to allocate
+        f, g = sym_pair(100, 3, 3, 6)
+        with pytest.raises(ValueError, match="dim 100 and order 6 need 8000000000000 bytes"):
+            contract(f, g, 0)
+        assert contract(f, g, 2).order == 2  # 100^2 doubles: within the cap
+
     def test_block_symmetry_of_result(self):
         f, g = sym_pair(2, 3, 3, 5)
         out = contract(f, g, 1)
