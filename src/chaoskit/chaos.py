@@ -50,7 +50,6 @@ __all__ = [
     "HValuedChaos",
     "as_points",
     "checked_factorial",
-    "checked_perm",
     "derivative",
     "divergence",
     "evaluate",
@@ -75,12 +74,6 @@ def checked_factorial(k: int) -> int:
             f"factorial argument {k} exceeds cap {FACTORIAL_CAP}"
         )
     return math.factorial(k)
-
-
-def checked_perm(n: int, k: int) -> int:
-    """Falling factorial n! / (n-k)! with the cap applied to n."""
-    checked_factorial(n)
-    return math.perm(n, k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,7 +257,7 @@ def l2_inner(F: ChaosExpansion, G: ChaosExpansion) -> float:
     for k, f in F.terms.items():
         g = G.terms.get(k)
         if g is not None:
-            total += checked_factorial(k) * inner(f, g)
+            total += math.factorial(k) * inner(f, g)
     return total
 
 
@@ -289,7 +282,7 @@ def derivative(F: ChaosExpansion, k: int) -> HValuedChaos:
         for n, f in F.terms.items():
             if n < k:
                 continue
-            coeff = checked_perm(n, k)
+            coeff = math.perm(n, k)
             terms[n - k] = slice_tensor(f, tuple(rep)).scaled(float(coeff))
         per_orbit.append(ChaosExpansion(d, terms))
     entries = {

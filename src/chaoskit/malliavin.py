@@ -56,7 +56,6 @@ from .chaos import (
     _product,
     as_points,
     checked_factorial,
-    checked_perm,
     l2_inner,
     multiply,
 )
@@ -64,6 +63,7 @@ from .tensor import (
     Tensor,
     _orbit_average,
     _orbit_sums,
+    _require_array_size,
     contract,
     inner,
     orbit_info,
@@ -106,6 +106,9 @@ class MalliavinPair:
             raise ValueError(f"dimension mismatch: {self.f.dim} != {self.g.dim}")
         if self.f.order < 1 or self.g.order < 1:
             raise ValueError("component orders must be >= 1")
+        # every route's coefficients need n! and m! exactly
+        checked_factorial(self.f.order)
+        checked_factorial(self.g.order)
         if not (self.f.symmetric and self.g.symmetric):
             raise ValueError("components must be symmetric tensors")
         for name, t in (("f", self.f), ("g", self.g)):
@@ -145,19 +148,14 @@ def _alpha(n: int, m: int, k: int, r: int) -> int:
     # scales the squared-minor form of T_r:
     # (n! m! / ((n-k-r)! (m-k-r)! r!))^2 * (n+m-2k-2r)!
     q = math.perm(n, k + r) * math.perm(m, k + r)
-    fr = checked_factorial(r)
+    fr = math.factorial(r)
     if q % fr:
         raise ArithmeticError("coefficient is not an integer; invalid arguments")
-    checked_factorial(n)
-    checked_factorial(m)
     return (q // fr) ** 2 * checked_factorial(n + m - 2 * k - 2 * r)
 
 
 def _beta(n: int, m: int, k: int, r: int) -> int:
     # scales the hat-contraction form of T_r: n!^2 m!^2 / ((n-k-r)! (m-k-r)! (r!)^2)
-    checked_factorial(n)
-    checked_factorial(m)
-    checked_factorial(r)
     num = math.factorial(n) ** 2 * math.factorial(m) ** 2
     den = (
         math.factorial(n - k - r)
@@ -190,7 +188,7 @@ def gram_chaos(
     _check_k(pair, k)
     info = orbit_info(pair.dim, k)
     reps = tuple(info.reps.T)
-    x, y = (float(checked_perm(t.order, k)) * t.coeffs[reps] for t in (pair.f, pair.g))
+    x, y = (float(math.perm(t.order, k)) * t.coeffs[reps] for t in (pair.f, pair.g))
     qx, qy = pair.n - k, pair.m - k
     w = info.counts.astype(np.float64)
     entries = []
@@ -247,7 +245,7 @@ def sum_of_squares_eval(pair: MalliavinPair, k: int, xi):
         q = f.order - k
         sums, _ = _orbit_sums(f.coeffs[reps], orbit_info(pair.dim, q))
         out = np.zeros((len(info_k.reps), pts.shape[0]))
-        coords.append(_accumulate(out, float(checked_perm(f.order, k)) * sums, monomials[q]))
+        coords.append(_accumulate(out, float(math.perm(f.order, k)) * sums, monomials[q]))
     a, b = coords
     w = info_k.counts.astype(np.float64)
     out = np.zeros(pts.shape[0])
@@ -274,9 +272,6 @@ class ContractionTable:
 
     def __init__(self, pair: MalliavinPair):
         n, m, f, g = pair.n, pair.m, pair.f, pair.g
-        # the coefficients need n! and m! exactly: refuse before allocating
-        checked_factorial(n)
-        checked_factorial(m)
         self.n, self.m = n, m
         self.hats = {(0, 0): inner(f, f) * inner(g, g)}
         for r in range(1, min(n, m) + 1):
@@ -348,6 +343,7 @@ def tr_term_direct(pair: MalliavinPair, k: int, r: int) -> float:
     if not 0 <= r <= min(n - k, m - k):
         raise ValueError(f"r = {r} out of range [0, {min(n - k, m - k)}]")
     qf, qg = n - k - r, m - k - r
+    _require_array_size("tr_term_direct", d, n + m - 2 * r)  # S holds d^(n+m-2r)
     fs, gs = (t.coeffs.reshape((d**k,) + t.coeffs.shape[k:]) for t in (pair.f, pair.g))
     axes = tuple(range(1, r + 1))
     # (i, f slots, l, g slots) -> (i, l, f slots, g slots)
@@ -390,13 +386,13 @@ class DetBreakdown:
 
 def expected_det_closed_form(pair: MalliavinPair, k: int) -> DetBreakdown:
     """Full closed-form breakdown of E det, with the symbolic oracle value."""
-    _check_k(pair, k)
     return _breakdown(pair, ContractionTable(pair), k)
 
 
 def _breakdown(pair: MalliavinPair, table: ContractionTable, k: int) -> DetBreakdown:
     """:func:`expected_det_closed_form` read from the pair's table, so a
     caller reporting several k builds the table once."""
+    _check_k(pair, k)
     t0, tr = table.terms(k)
     remainder = float(sum(tr))
     return DetBreakdown(
@@ -420,17 +416,27 @@ def _require_equal_orders(pair: MalliavinPair) -> int:
     return pair.n
 
 
+def _covariance(pair: MalliavinPair) -> tuple[float, float]:
+    """(det C, its default zero threshold) from one set of inner products.
+
+    det C = n!^2 (||f||^2 ||g||^2 - <f, g>^2) grows like n!^2 ||f||^2
+    ||g||^2, so det C is called zero at or below 1e-10 of that scale.
+    """
+    n = _require_equal_orders(pair)
+    nf2 = inner(pair.f, pair.f)
+    ng2 = inner(pair.g, pair.g)
+    fg = inner(pair.f, pair.g)
+    fac2 = math.factorial(n) ** 2
+    return fac2 * (nf2 * ng2 - fg * fg), 1e-10 * max(fac2 * nf2 * ng2, 1e-300)
+
+
 def cov_det(pair: MalliavinPair) -> float:
     """det of the covariance matrix: n!^2 (||f||^2 ||g||^2 - <f, g>^2).
 
     Nonnegative by Cauchy-Schwarz; zero exactly when f and g are
     linearly dependent.
     """
-    n = _require_equal_orders(pair)
-    nf2 = inner(pair.f, pair.f)
-    ng2 = inner(pair.g, pair.g)
-    fg = inner(pair.f, pair.g)
-    return checked_factorial(n) ** 2 * (nf2 * ng2 - fg * fg)
+    return _covariance(pair)[0]
 
 
 def _check_tol(name: str, value: float) -> None:
@@ -441,7 +447,11 @@ def _check_tol(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class InequalityResult:
-    """lhs >= rhs, and edet1 >= direct_bound for n <= 4; rhs = n^2 cov_det."""
+    """lhs >= rhs, and edet1 >= direct_bound for n <= 4; rhs = n^2 cov_det.
+
+    degenerate means cov_det is at most the default zero threshold of
+    :func:`density_check`, so rhs is rounding noise and lhs / rhs undefined.
+    """
 
     lhs: float
     rhs: float
@@ -450,6 +460,7 @@ class InequalityResult:
     direct_bound: Optional[float]
     direct_holds: Optional[bool]
     cov_det: float
+    degenerate: bool
 
 
 def covariance_inequality(pair: MalliavinPair, tol_rel: float = 1e-9) -> InequalityResult:
@@ -472,14 +483,14 @@ def covariance_inequality(pair: MalliavinPair, tol_rel: float = 1e-9) -> Inequal
     for s in range(2, (n - 1) // 2 + 1):
         w = Fraction(n * (n - 2 * s), math.factorial(s) ** 2)
         lhs += float(w) * dets[s - 1]
-    c = cov_det(pair)
+    c, zero = _covariance(pair)
     rhs = n**2 * c
     bound = direct_holds = None
     if n <= 4:
         bound = n**2 / (n - 1) ** 2 * c
         direct_holds = dets[0] >= bound - tol_rel * max(1.0, abs(dets[0]), abs(bound))
     holds = lhs >= rhs - tol_rel * max(1.0, abs(lhs), abs(rhs))
-    return InequalityResult(lhs, rhs, holds, dets[0], bound, direct_holds, c)
+    return InequalityResult(lhs, rhs, holds, dets[0], bound, direct_holds, c, c <= zero)
 
 
 class Verdict(str, Enum):
@@ -507,9 +518,7 @@ class DensityReport:
 
 def default_density_tol(pair: MalliavinPair) -> float:
     """Scale-relative zero threshold: det C grows like n!^2 ||f||^2 ||g||^2."""
-    n = _require_equal_orders(pair)
-    scale = math.factorial(n) ** 2 * inner(pair.f, pair.f) * inner(pair.g, pair.g)
-    return 1e-10 * max(scale, 1e-300)
+    return _covariance(pair)[1]
 
 
 def density_check(pair: MalliavinPair, tol_abs: Optional[float] = None) -> DensityReport:
@@ -517,12 +526,11 @@ def density_check(pair: MalliavinPair, tol_abs: Optional[float] = None) -> Densi
 
     An explicit tol_abs must be finite and > 0.
     """
-    _require_equal_orders(pair)
+    c, zero = _covariance(pair)
     if tol_abs is None:
-        tol_abs = default_density_tol(pair)
+        tol_abs = zero
     else:
         _check_tol("tol_abs", tol_abs)
-    c = cov_det(pair)
     dets = expected_dets(pair)
     degenerate = c <= tol_abs
     consistent = all(v <= tol_abs for v in dets) or all(v > tol_abs for v in dets)

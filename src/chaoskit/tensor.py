@@ -42,17 +42,22 @@ __all__ = [
 ]
 
 
-# the largest dense array that pair loading, contract and the product formula
-# build; a larger one is refused up front, not found as an out-of-memory error
+# the largest dense array that a builder of d**n entries (a random or loaded
+# tensor, a contraction, a product formula term, an orbit grid, an oracle's
+# outer product) may allocate; a larger one is refused up front, not found as
+# an out-of-memory error
 MAX_ARRAY_BYTES = 2**30
 
 
-def _require_array_size(what: str, dim: int, order: int, error=ValueError) -> None:
-    """Refuse a dense array of dim**order doubles above MAX_ARRAY_BYTES.
+def _require_array_size(
+    what: str, dim: int, order: int, error=ValueError, entry_bytes: int = 8
+) -> None:
+    """Refuse a dense array of dim**order entries of entry_bytes each (a
+    double by default) above MAX_ARRAY_BYTES.
 
     Checked in integer arithmetic, before anything is allocated.
     """
-    nbytes = 8 * dim**order
+    nbytes = entry_bytes * dim**order
     if nbytes > MAX_ARRAY_BYTES:
         raise error(
             f"{what}: dim {dim} and order {order} need {nbytes} bytes, "
@@ -199,6 +204,8 @@ def orbit_info(dim: int, order: int) -> OrbitInfo:
             reps=np.zeros((1, 0), dtype=np.int64),
             multiplicities=np.zeros((1, dim), dtype=np.int64),
         )
+    # each of the d**n grid rows holds order int64 indices
+    _require_array_size("orbit grid", dim, order, entry_bytes=8 * order)
     grid = np.indices((dim,) * order).reshape(order, -1).T  # (d**n, n), C order
     key = np.sort(grid, axis=1)
     powers = dim ** np.arange(order, dtype=np.int64)
@@ -361,6 +368,7 @@ def hat_contract(
             raise ValueError("hat contraction requires symmetric operands")
     if r < 0 or s < 0 or r + s > min(n, m):
         raise ValueError(f"(r, s) = ({r}, {s}) out of range: need r + s <= {min(n, m)}")
+    _require_array_size("hat contraction", f.dim, n + m - 2 * r)
     axes = (tuple(range(r)), tuple(range(r)))
     a = np.tensordot(f.coeffs, g.coeffs, axes=axes)  # slots f: s | n-r-s, g: s | m-r-s
     b = np.tensordot(ell.coeffs, h.coeffs, axes=axes)  # ell: s | m-r-s, h: s | n-r-s
@@ -379,6 +387,7 @@ def random_symmetric(dim: int, order: int, seed) -> Tensor:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
+    _require_array_size("random tensor", dim, order)
     rng = np.random.default_rng(seed)
     arr = np.asarray(rng.standard_normal((dim,) * order))
     return symmetrize(Tensor(dim, order, arr))

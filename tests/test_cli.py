@@ -52,6 +52,8 @@ BAD_VALUES = {
     # an inf tolerance would pass every check and call every density DEGENERATE
     "--tol-rel": ("0", "nan", "inf"),
     "--tol-abs": ("-1", "nan", "inf"),
+    "--order": ("0",),
+    "--order-g": ("0",),
 }
 BAD_SLOTS = [(cmd, flag, value) for cmd, flags in OPTIONS.items()
              for flag in flags for value in BAD_VALUES.get(flag, ())]
@@ -104,6 +106,36 @@ class TestGen:
         code, _, err = run(capsys, "gen", "--dim", "2", "--order", "2")
         assert code == 2
         assert "output path" in err
+
+    def test_order_above_the_factorial_cap_exits_2(self, tmp_path, capsys):
+        # a pair refuses an order above 20, so no file is written that no
+        # command could read
+        path = tmp_path / "p.json"
+        code, out, err = run(capsys, "gen", "--dim", "1", "--order", "21", "-o", str(path))
+        assert code == 2 and out == ""
+        assert err == "chaoskit gen: error: factorial argument 21 exceeds cap 20\n"
+        assert not path.exists()
+
+    def test_order_g_checked_before_the_proportional_rule(self, tmp_path, capsys):
+        argv = ("gen", "--order-g", "0", "--proportional", "2", "-o", str(tmp_path / "p.json"))
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err == "chaoskit gen: error: --order-g must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("cmd", ["gen", "sweep"])
+    def test_oversized_dim_exits_2(self, cmd, tmp_path, capsys):
+        # each draw would be 1000^4 doubles (7.3 TiB): refused before allocating
+        argv = {
+            "gen": ["gen", "-o", str(tmp_path / "big.json")],
+            "sweep": ["sweep", "--trials", "1"],
+        }[cmd]
+        code, out, err = run(capsys, *argv, "--dim", "1000", "--order", "4")
+        assert code == 2 and out == ""
+        assert err == (
+            f"chaoskit {cmd}: error: random tensor: dim 1000 and order 4 need "
+            "8000000000000 bytes, above the cap of 1073741824 bytes\n"
+        )
+        assert not (tmp_path / "big.json").exists()
 
     def test_kind_option_refused(self, tmp_path, capsys):
         # gen writes only pair files, the one file format a command reads
@@ -174,7 +206,16 @@ class TestEdet:
     def test_k_out_of_range(self, pair_file, capsys):
         code, _, err = run(capsys, "edet", "--pair", str(pair_file), "--k", "3")
         assert code == 2
-        assert "out of range" in err
+        assert err == "chaoskit edet: error: k = 3 out of range [1, 2]\n"
+
+    def test_k_out_of_range_refused_before_sampling(self, pair_file, capsys, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(cli, "estimate_expected_det", lambda *a, **kw: drawn.append(a))
+        argv = ("edet", "--pair", str(pair_file), "--k", "1,3", "--mc", "--samples", "100")
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "chaoskit edet: error: k = 3 out of range [1, 2]\n"
+        assert drawn == []
 
     def test_with_mc(self, anchor_file, capsys):
         code, out, _ = run(
@@ -322,8 +363,9 @@ class TestSweep:
         assert json.loads(out)["passed"] is True
 
     def test_order_one_rejected(self, capsys):
-        code, _, _ = run(capsys, "sweep", "--order", "1")
-        assert code == 2
+        code, out, err = run(capsys, "sweep", "--order", "1")
+        assert code == 2 and out == ""
+        assert err == "chaoskit sweep: error: --order must be >= 2, got 1\n"
 
     def test_zero_covariance_gives_null_ratio(self, capsys):
         # d = 1: det C = 0 up to rounding, and density calls every trial
@@ -359,9 +401,11 @@ class TestSweep:
                     assert row["ratio"] == row["lhs"] / row["rhs"]
 
     def test_one_det_c_per_trial(self, capsys, monkeypatch):
+        # det C and its zero threshold come from one _covariance call per trial
         calls = []
-        cov_det = cli.mal.cov_det
-        monkeypatch.setattr(cli.mal, "cov_det", lambda pair: calls.append(pair) or cov_det(pair))
+        covariance = cli.mal._covariance
+        monkeypatch.setattr(cli.mal, "_covariance",
+                            lambda pair: calls.append(pair) or covariance(pair))
         code, _, _ = run(capsys, "sweep", "--order", "3", "--dim", "2", "--trials", "3")
         assert code == 0
         assert len(calls) == 3
@@ -371,7 +415,7 @@ class TestSweep:
 
         monkeypatch.setattr(cli.mal, "covariance_inequality",
                             lambda pair, tol_rel: InequalityResult(0.0, 0.0, True, 0.0, None,
-                                                                   None, 0.0))
+                                                                   None, 0.0, True))
         code, out, _ = run(capsys, "sweep", "--order", "5", "--dim", "1", "--trials", "2")
         assert code == 0
         doc = strict_json(out)

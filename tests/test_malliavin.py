@@ -108,6 +108,18 @@ class TestPairValidation:
                 )
             )
 
+    @pytest.mark.parametrize("side", ["f", "g"])
+    def test_rejects_order_above_the_factorial_cap(self, side):
+        # every route needs n! and m! exactly; an order-21 pair is refused
+        # when it is built, not by whichever route first reads it
+        from chaoskit.chaos import CoefficientCapError
+
+        big, small = basis_tensor(1, (0,) * 21), basis_vector(1, 0)
+        f, g = (big, small) if side == "f" else (small, big)
+        with pytest.raises(CoefficientCapError, match="factorial argument 21 exceeds cap 20"):
+            MalliavinPair(f, g)
+        assert MalliavinPair(basis_tensor(1, (0,) * 20), small).n == 20
+
     def test_random_pair_reproducible(self):
         a = random_pair(2, 2, 3, 99)
         b = random_pair(2, 2, 3, 99)
@@ -602,6 +614,18 @@ class TestCovDet:
 
 
 class TestCovarianceInequality:
+    @pytest.mark.parametrize("kind", ["generic", "proportional", "dim_one"])
+    def test_degenerate_follows_the_density_verdict(self, kind):
+        pair = {
+            "generic": lambda: random_pair(3, 3, 3, 142),
+            "proportional": lambda: MalliavinPair(random_symmetric(2, 3, 143),
+                                                  random_symmetric(2, 3, 143).scaled(-2.0)),
+            "dim_one": lambda: random_pair(1, 3, 3, 144),
+        }[kind]()
+        res = covariance_inequality(pair)
+        assert res.degenerate == (density_check(pair).verdict is Verdict.DEGENERATE)
+        assert res.degenerate == (kind != "generic")
+
     def test_worked_pair(self, worked_pair):
         res = covariance_inequality(worked_pair)
         assert res.lhs == pytest.approx(12.0)
@@ -718,6 +742,14 @@ class TestRotationInvariance:
             assert (a.verdict, a.consistent) == (b.verdict, b.consistent)
         assert density_check(prop).verdict is Verdict.DEGENERATE
         assert density_check(pair).verdict is Verdict.ABSOLUTELY_CONTINUOUS
+
+
+class TestOracleSizeCap:
+    def test_tr_term_direct_refuses_an_oversized_slice_product(self):
+        # S[i, l] holds 100^6 doubles (7.28 TiB) at k = 1, r = 0
+        with pytest.raises(ValueError, match=r"^tr_term_direct: dim 100 and order 6 need "
+                                             r"8000000000000 bytes, above the cap"):
+            tr_term_direct(random_pair(100, 3, 3, 0), 1, 0)
 
 
 class TestCombinatorialCoeffs:

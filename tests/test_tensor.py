@@ -15,6 +15,7 @@ from chaoskit.tensor import (
     inner,
     is_symmetric,
     norm,
+    orbit_info,
     random_symmetric,
     slice_tensor,
     symmetrize,
@@ -259,6 +260,14 @@ class TestHatContract:
         with pytest.raises(ValueError):
             hat_contract(raw, raw, raw, raw, 1, 0)
 
+    def test_oversized_contraction_refused(self):
+        # at r = 0 each side is 100^6 doubles (7.28 TiB): refused before allocating
+        f, g, ell, h = (random_symmetric(100, 3, seed) for seed in range(4))
+        with pytest.raises(ValueError, match=r"^hat contraction: dim 100 and order 6 need "
+                                             r"8000000000000 bytes, above the cap"):
+            hat_contract(f, g, ell, h, 0, 0)
+        assert math.isfinite(hat_contract(f, g, ell, h, 2, 0))  # 100^2 doubles: within the cap
+
 
 class TestRandomSymmetric:
     def test_scalar_order(self):
@@ -273,6 +282,33 @@ class TestRandomSymmetric:
     def test_symmetry(self):
         t = random_symmetric(4, 3, 9)
         assert t.symmetric and is_symmetric(t)
+
+    def test_oversized_draw_refused(self):
+        # 1000^4 doubles (7.28 TiB): refused before the generator draws
+        with pytest.raises(ValueError, match=r"^random tensor: dim 1000 and order 4 need "
+                                             r"8000000000000 bytes, above the cap"):
+            random_symmetric(1000, 4, 0)
+
+
+class TestOrbitInfo:
+    def test_oversized_grid_refused(self):
+        # the grid holds 6 x 100^6 int64 (43.7 TiB), not 100^6
+        with pytest.raises(ValueError, match=r"^orbit grid: dim 100 and order 6 need "
+                                             r"48000000000000 bytes, above the cap"):
+            orbit_info(100, 6)
+
+    def test_grid_counts_its_index_width(self, monkeypatch):
+        # the 7^5 grid rows of 5 int64 indices fit a cap of exactly their
+        # size and are refused one byte below it, where 7^5 doubles would fit
+        from chaoskit import tensor
+
+        orbit_info.cache_clear()  # a cached table would skip the check
+        grid = 5 * 8 * 7**5
+        monkeypatch.setattr(tensor, "MAX_ARRAY_BYTES", grid - 1)
+        with pytest.raises(ValueError, match=f"^orbit grid: dim 7 and order 5 need {grid} bytes"):
+            orbit_info(7, 5)
+        monkeypatch.setattr(tensor, "MAX_ARRAY_BYTES", grid)
+        assert len(orbit_info(7, 5).inverse) == 7**5
 
 
 class TestIsSymmetric:

@@ -1,5 +1,6 @@
-"""Tests of the verify suites' plumbing: instance draws, table reuse, and
-the Monte Carlo checks with their negative controls."""
+"""Tests of the verify suites' plumbing: instance draws, table reuse, the
+suite runner, and the chaos and Monte Carlo checks with their negative
+controls."""
 
 import inspect
 import math
@@ -10,7 +11,8 @@ import pytest
 
 from chaoskit import malliavin as mal
 from chaoskit import mc, verify
-from chaoskit.chaos import l2_inner, multiply
+from chaoskit.chaos import ChaosExpansion, derivative, l2_inner, multiply
+from chaoskit.tensor import inner
 from chaoskit.verify import VerifyConfig
 
 
@@ -164,3 +166,60 @@ class TestMomentsControls:
         # seed and -3.66 against the exact sigma
         res = verify.check_mc_moments(VerifyConfig(seed=3993))
         assert res.passed and 3.6 < res.observed < 3.7
+
+
+class TestRunSuites:
+    def test_chaos_suite_passes(self):
+        results = verify.run_suites(VerifyConfig(seed=7), ["chaos"])
+        assert [r.check for r in results] == [
+            c.__name__.removeprefix("check_") for c in verify.SUITES["chaos"]
+        ]
+        assert [r.failures for r in results if not r.passed] == []
+
+    def test_all_runs_every_check_in_suite_order(self):
+        results = verify.run_suites(VerifyConfig(seed=7), ["all"])
+        # a check is named after its function, less the suite prefix of mc's
+        order = [(suite, c.__name__.removeprefix("check_").removeprefix(f"{suite}_"))
+                 for suite, checks in verify.SUITES.items() for c in checks]
+        assert len(order) == 23
+        assert [(r.suite, r.check) for r in results] == order
+        assert all(r.passed for r in results)
+
+
+def _product_without_top_r(F, G):
+    """The product formula missing its lowest-order (largest r) term."""
+    P = multiply(F, G)
+    return ChaosExpansion(P.dim, {k: t for k, t in P.terms.items() if k != min(P.terms)})
+
+
+def _l2_inner_without_factorial(F, G):
+    """sum_k <f_k, g_k>: E[F G] without its k! weights."""
+    return sum(inner(f, G.terms[k]) for k, f in F.terms.items() if k in G.terms)
+
+
+def _derivative_without_falling_factorial(F, k):
+    """D^k with the coordinate weight n!/(n-k)! left out."""
+    unscaled = {n: t.scaled(1.0 / math.perm(n, k)) for n, t in F.terms.items() if n >= k}
+    return derivative(ChaosExpansion(F.dim, {**F.terms, **unscaled}), k)
+
+
+# one broken primitive in verify's namespace per chaos check
+CHAOS_BREAKS = {
+    "product_pointwise": ("multiply", _product_without_top_r),
+    "isometry": ("l2_inner", _l2_inner_without_factorial),
+    "divergence_identity": ("derivative", _derivative_without_falling_factorial),
+    "derivative_finite_difference": ("derivative", _derivative_without_falling_factorial),
+    "hermite_orthonormality": ("hermite", lambda n, x: np.asarray(x, dtype=float) ** n),
+}
+
+
+@pytest.mark.parametrize("check", verify.SUITES["chaos"], ids=lambda c: c.__name__)
+def test_chaos_check_detects_broken_primitive(check, monkeypatch):
+    name = check.__name__.removeprefix("check_")
+    primitive, broken = CHAOS_BREAKS[name]
+    cfg = VerifyConfig(seed=7)
+    assert check(cfg).passed
+    monkeypatch.setattr(verify, primitive, broken)
+    result = check(cfg)
+    assert result.check == name
+    assert not result.passed and result.failures
