@@ -165,8 +165,6 @@ def pair_from_dict(obj: dict) -> MalliavinPair:
     g = tensor_from_dict(_require(obj, "g", dict, "pair"))
     if (f.dim, f.order) != (dim, n) or (g.dim, g.order) != (dim, m):
         raise SchemaError("pair: component shapes disagree with dim/n/m")
-    if not (f.symmetric and g.symmetric):
-        raise SchemaError("pair: components must be stored as symmetric tensors")
     try:
         return MalliavinPair(f, g)
     except ValueError as exc:

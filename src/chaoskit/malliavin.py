@@ -516,11 +516,6 @@ class DensityReport:
     consistent: bool
 
 
-def default_density_tol(pair: MalliavinPair) -> float:
-    """Scale-relative zero threshold: det C grows like n!^2 ||f||^2 ||g||^2."""
-    return _covariance(pair)[1]
-
-
 def density_check(pair: MalliavinPair, tol_abs: Optional[float] = None) -> DensityReport:
     """Degeneracy verdict from det C, cross-tabulated with every E det.
 

@@ -9,6 +9,7 @@ instances are listed in the report.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, asdict
@@ -123,27 +124,51 @@ class _Recorder:
         if not deviation <= self.tolerance:
             self.failures.append(context)
 
-    def result(self, suite: str, check: str, seed: int, trials: int) -> CheckResult:
-        return CheckResult(
-            suite=suite,
-            check=check,
-            seed=seed,
-            trials=trials,
-            observed=self.worst,
-            expected=0.0,
-            tolerance=self.tolerance,
-            passed=not self.failures,
-            failures=self.failures[:10],
-        )
+
+# suite -> its checks, in definition order; each @_check line adds one
+SUITES: dict[str, list] = {}
+
+
+def _check(suite: str, tol: float | None = None):
+    """Register a check body ``fn(cfg, rec)`` in ``SUITES[suite]``.
+
+    The check is named after the function, less ``check_`` and the suite
+    prefix, and records at ``tol`` (``cfg.tol_rel`` when None).  The body
+    returns its instance count, or None when it ran ``cfg.trials``.
+    """
+
+    def register(body):
+        name = body.__name__.removeprefix("check_").removeprefix(f"{suite}_")
+
+        @functools.wraps(body)
+        def check(cfg: VerifyConfig) -> CheckResult:
+            rec = _Recorder(cfg.tol_rel if tol is None else tol)
+            trials = body(cfg, rec)
+            return CheckResult(
+                suite=suite,
+                check=name,
+                seed=cfg.seed,
+                trials=cfg.trials if trials is None else trials,
+                observed=rec.worst,
+                expected=0.0,
+                tolerance=rec.tolerance,
+                passed=not rec.failures,
+                failures=rec.failures[:10],
+            )
+
+        SUITES.setdefault(suite, []).append(check)
+        return check
+
+    return register
 
 
 # -- tensor suite -------------------------------------------------------------
 
 
-def check_slice_reassembly(cfg: VerifyConfig) -> CheckResult:
+@_check("tensor")
+def check_slice_reassembly(cfg: VerifyConfig, rec: _Recorder):
     """Summing sliced contractions over a shared multi-index collapses the
     slices back into a deeper contraction of the full tensors."""
-    rec = _Recorder(cfg.tol_rel)
     for i in range(cfg.trials):
         seed, _, d, n, m = _draw(cfg, 1, i, (1, cfg.max_order), (1, cfg.max_order))
         f = random_symmetric(d, n, seed)
@@ -160,12 +185,11 @@ def check_slice_reassembly(cfg: VerifyConfig) -> CheckResult:
                     np.max(np.abs(total.coeffs - direct.coeffs))
                 ) / max(1.0, float(np.max(np.abs(direct.coeffs))))
                 rec.add(dev, f"d={d} n={n} m={m} k={k} r={r} seed={seed}")
-    return rec.result("tensor", "slice_reassembly", cfg.seed, cfg.trials)
 
 
-def check_contraction_swap(cfg: VerifyConfig) -> CheckResult:
+@_check("tensor")
+def check_contraction_swap(cfg: VerifyConfig, rec: _Recorder):
     """<f x_{n-r} h, g x_{m-r} l> = <f x_r g, h x_r l>."""
-    rec = _Recorder(cfg.tol_rel)
     for i in range(cfg.trials):
         seed, _, d, n, m = _draw(cfg, 2, i, (1, cfg.max_order), (1, cfg.max_order))
         f, h, g, ell = _four_tensors(d, n, m, seed)
@@ -173,12 +197,11 @@ def check_contraction_swap(cfg: VerifyConfig) -> CheckResult:
             lhs = inner(contract(f, h, n - r), contract(g, ell, m - r))
             rhs = inner(contract(f, g, r), contract(h, ell, r))
             rec.add(_rel_err(lhs, rhs), f"d={d} n={n} m={m} r={r} seed={seed}")
-    return rec.result("tensor", "contraction_swap", cfg.seed, cfg.trials)
 
 
-def check_symmetrized_product_inner(cfg: VerifyConfig) -> CheckResult:
+@_check("tensor")
+def check_symmetrized_product_inner(cfg: VerifyConfig, rec: _Recorder):
     """<sym(f x g), sym(l x h)> expands over contractions of the four tensors."""
-    rec = _Recorder(cfg.tol_rel)
     for i in range(cfg.trials):
         seed, _, d, n, m = _draw(cfg, 3, i, (1, cfg.max_order), (1, cfg.max_order))
         f, h, g, ell = _four_tensors(d, n, m, seed)
@@ -192,12 +215,11 @@ def check_symmetrized_product_inner(cfg: VerifyConfig) -> CheckResult:
             )
         rhs = math.factorial(m) * math.factorial(n) / math.factorial(m + n) * total
         rec.add(_rel_err(lhs, rhs), f"d={d} n={n} m={m} seed={seed}")
-    return rec.result("tensor", "symmetrized_product_inner", cfg.seed, cfg.trials)
 
 
-def check_hat_expansion(cfg: VerifyConfig) -> CheckResult:
+@_check("tensor")
+def check_hat_expansion(cfg: VerifyConfig, rec: _Recorder):
     """<sym(f x_r g), sym(l x_r h)> expands over the quadruple contractions."""
-    rec = _Recorder(cfg.tol_rel)
     for i in range(cfg.trials):
         seed, _, d, n, m = _draw(cfg, 4, i, (1, cfg.max_order), (1, cfg.max_order))
         f, h, g, ell = _four_tensors(d, n, m, seed)
@@ -217,12 +239,11 @@ def check_hat_expansion(cfg: VerifyConfig) -> CheckResult:
                 * total
             )
             rec.add(_rel_err(lhs, rhs), f"d={d} n={n} m={m} r={r} seed={seed}")
-    return rec.result("tensor", "hat_expansion", cfg.seed, cfg.trials)
 
 
-def check_hat_swap(cfg: VerifyConfig) -> CheckResult:
+@_check("tensor")
+def check_hat_swap(cfg: VerifyConfig, rec: _Recorder):
     """Exchanging the roles (g, r) <-> (l, s) leaves the hat contraction fixed."""
-    rec = _Recorder(cfg.tol_rel)
     for i in range(cfg.trials):
         seed, _, d, n, m = _draw(cfg, 5, i, (1, cfg.max_order), (1, cfg.max_order))
         f, h, g, ell = _four_tensors(d, n, m, seed)
@@ -231,12 +252,11 @@ def check_hat_swap(cfg: VerifyConfig) -> CheckResult:
                 lhs = hat_contract(f, g, ell, h, r, s)
                 rhs = hat_contract(f, ell, g, h, s, r)
                 rec.add(_rel_err(lhs, rhs), f"d={d} n={n} m={m} r={r} s={s} seed={seed}")
-    return rec.result("tensor", "hat_swap", cfg.seed, cfg.trials)
 
 
-def check_symmetrize_projection(cfg: VerifyConfig) -> CheckResult:
+@_check("tensor")
+def check_symmetrize_projection(cfg: VerifyConfig, rec: _Recorder):
     """symmetrize is idempotent and norm non-increasing."""
-    rec = _Recorder(cfg.tol_rel)
     for i in range(cfg.trials):
         seed, rng, d, n = _draw(cfg, 6, i, (0, cfg.max_order))
         raw = Tensor(d, n, rng.standard_normal((d,) * n))
@@ -246,15 +266,14 @@ def check_symmetrize_projection(cfg: VerifyConfig) -> CheckResult:
         rec.add(dev / max(1.0, norm(s1)), f"d={d} n={n} seed={seed} idempotence")
         excess = norm(s1) - norm(raw)
         rec.add(max(excess, 0.0) / max(1.0, norm(raw)), f"d={d} n={n} seed={seed} norm")
-    return rec.result("tensor", "symmetrize_projection", cfg.seed, cfg.trials)
 
 
 # -- chaos suite --------------------------------------------------------------
 
 
-def check_product_pointwise(cfg: VerifyConfig) -> CheckResult:
+@_check("chaos")
+def check_product_pointwise(cfg: VerifyConfig, rec: _Recorder):
     """The product formula is a polynomial identity: it holds at every point."""
-    rec = _Recorder(cfg.tol_rel)
     for i in range(cfg.trials):
         seed, rng, d, n, m = _draw(cfg, 11, i, (1, cfg.max_order), (1, cfg.max_order))
         F = ChaosExpansion.integral(random_symmetric(d, n, seed))
@@ -264,12 +283,11 @@ def check_product_pointwise(cfg: VerifyConfig) -> CheckResult:
         rhs = evaluate(F, pts) * evaluate(G, pts)
         dev = float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))))
         rec.add(dev, f"d={d} n={n} m={m} seed={seed}")
-    return rec.result("chaos", "product_pointwise", cfg.seed, cfg.trials)
 
 
-def check_isometry(cfg: VerifyConfig) -> CheckResult:
+@_check("chaos", tol=1e-12)
+def check_isometry(cfg: VerifyConfig, rec: _Recorder):
     """E[I_n(f) I_m(g)] is 0 for n != m and n! <f, g> for n = m."""
-    rec = _Recorder(1e-12)
     for i in range(cfg.trials):
         seed, _, d, n, m = _draw(cfg, 12, i, (1, cfg.max_order), (1, cfg.max_order))
         f = random_symmetric(d, n, seed)
@@ -280,12 +298,11 @@ def check_isometry(cfg: VerifyConfig) -> CheckResult:
         rec.add(_rel_err(observed, target), f"d={d} n={n} m={m} seed={seed}")
         cross = l2_inner(F, G)
         rec.add(_rel_err(cross, target), f"l2 d={d} n={n} m={m} seed={seed}")
-    return rec.result("chaos", "isometry", cfg.seed, cfg.trials)
 
 
-def check_divergence_identity(cfg: VerifyConfig) -> CheckResult:
+@_check("chaos", tol=1e-12)
+def check_divergence_identity(cfg: VerifyConfig, rec: _Recorder):
     """divergence(derivative(I_n(f), 1)) = n I_n(f), tensor by tensor."""
-    rec = _Recorder(1e-12)
     for i in range(cfg.trials):
         seed, _, d, n = _draw(cfg, 13, i, (1, max(cfg.max_order, 5)))
         f = random_symmetric(d, n, seed)
@@ -300,12 +317,11 @@ def check_divergence_identity(cfg: VerifyConfig) -> CheckResult:
         if extra:
             dev = max(dev, 1.0)
         rec.add(dev, f"d={d} n={n} seed={seed}")
-    return rec.result("chaos", "divergence_identity", cfg.seed, cfg.trials)
 
 
-def check_derivative_finite_difference(cfg: VerifyConfig) -> CheckResult:
+@_check("chaos", tol=1e-5)
+def check_derivative_finite_difference(cfg: VerifyConfig, rec: _Recorder):
     """First-derivative coordinates match central differences of evaluate."""
-    rec = _Recorder(1e-5)
     step = 1e-5
     for i in range(cfg.trials):
         seed, rng, d, n = _draw(cfg, 14, i, (1, cfg.max_order))
@@ -321,12 +337,11 @@ def check_derivative_finite_difference(cfg: VerifyConfig) -> CheckResult:
             fd = (evaluate(F, up) - evaluate(F, down)) / (2 * step)
             an = evaluate(dF[(j,)], xi)
             rec.add(_rel_err(an, fd), f"d={d} n={n} j={j} seed={seed}")
-    return rec.result("chaos", "derivative_finite_difference", cfg.seed, cfg.trials)
 
 
-def check_hermite_orthonormality(cfg: VerifyConfig) -> CheckResult:
+@_check("chaos", tol=1e-9)
+def check_hermite_orthonormality(cfg: VerifyConfig, rec: _Recorder):
     """Quadrature: E[H_a(xi) H_b(xi)] = delta_ab a! under the standard normal."""
-    rec = _Recorder(1e-9)
     nodes, weights = hermegauss(24)
     weights = weights / math.sqrt(2 * math.pi)
     top = max(cfg.max_order, 6)
@@ -339,15 +354,15 @@ def check_hermite_orthonormality(cfg: VerifyConfig) -> CheckResult:
             rec.add(
                 abs(observed - target) / max(1.0, abs(target)), f"a={a} b={b}"
             )
-    return rec.result("chaos", "hermite_orthonormality", cfg.seed, (top + 1) ** 2)
+    return (top + 1) ** 2
 
 
 # -- malliavin suite -----------------------------------------------------------
 
 
-def check_anchor_values(cfg: VerifyConfig) -> CheckResult:
+@_check("malliavin", tol=1e-12)
+def check_anchor_values(cfg: VerifyConfig, rec: _Recorder):
     """Hand-verified values of the worked pair: terms 8 + 4, E det 12, det C 2."""
-    rec = _Recorder(1e-12)
     pair = anchor_pair()
     b = mal.expected_det_closed_form(pair, 1)
     rec.add(_rel_err(b.t0, 8.0), "t0")
@@ -363,12 +378,12 @@ def check_anchor_values(cfg: VerifyConfig) -> CheckResult:
         _rel_err(mal.sum_of_squares_eval(pair, 1, np.array([1.0, 0.0])), 4.0),
         "pointwise value at (1, 0)",
     )
-    return rec.result("malliavin", "anchor_values", cfg.seed, 1)
+    return 1
 
 
-def check_closed_vs_symbolic(cfg: VerifyConfig) -> CheckResult:
+@_check("malliavin", tol=1e-8)
+def check_closed_vs_symbolic(cfg: VerifyConfig, rec: _Recorder):
     """Closed form against the chaos-arithmetic oracle at every valid k."""
-    rec = _Recorder(1e-8)
     top = (1, min(cfg.max_order, 4))
     for i in range(cfg.trials):
         seed, _, d, n, m = _draw(cfg, 21, i, top, top)
@@ -377,12 +392,11 @@ def check_closed_vs_symbolic(cfg: VerifyConfig) -> CheckResult:
             symbolic = mal.expected_det_chaos(pair, k)
             dev = abs(closed - symbolic) / (1.0 + abs(symbolic))
             rec.add(dev, f"d={d} n={n} m={m} k={k} seed={seed}")
-    return rec.result("malliavin", "closed_vs_symbolic", cfg.seed, cfg.trials)
 
 
-def check_sum_of_squares_pointwise(cfg: VerifyConfig) -> CheckResult:
+@_check("malliavin")
+def check_sum_of_squares_pointwise(cfg: VerifyConfig, rec: _Recorder):
     """The squared-minor evaluation equals the evaluated symbolic determinant."""
-    rec = _Recorder(cfg.tol_rel)
     top = (1, min(cfg.max_order, 3))
     for i in range(cfg.trials):
         seed, rng, d, n, m = _draw(cfg, 22, i, top, top)
@@ -400,12 +414,11 @@ def check_sum_of_squares_pointwise(cfg: VerifyConfig) -> CheckResult:
             )
             if np.any(sos < 0):
                 rec.add(1.0, f"negative sos d={d} n={n} m={m} k={k} seed={seed}")
-    return rec.result("malliavin", "sum_of_squares_pointwise", cfg.seed, cfg.trials)
 
 
-def check_term_nonnegativity(cfg: VerifyConfig) -> CheckResult:
+@_check("malliavin", tol=1e-10)
+def check_term_nonnegativity(cfg: VerifyConfig, rec: _Recorder):
     """Each correction term is a sum of squares, so never meaningfully negative."""
-    rec = _Recorder(1e-10)
     for i in range(cfg.trials):
         seed, _, d, n, m = _draw(cfg, 23, i, (1, cfg.max_order), (1, cfg.max_order))
         pair = mal.random_pair(d, n, m, seed)
@@ -420,7 +433,6 @@ def check_term_nonnegativity(cfg: VerifyConfig) -> CheckResult:
                 max(-(t0 + sum(tr)), 0.0) / scale,
                 f"closed d={d} n={n} m={m} k={k} seed={seed}",
             )
-    return rec.result("malliavin", "term_nonnegativity", cfg.seed, cfg.trials)
 
 
 def _det_scale(pair: mal.MalliavinPair) -> float:
@@ -433,10 +445,10 @@ def _det_scale(pair: mal.MalliavinPair) -> float:
     )
 
 
-def check_direct_term_agreement(cfg: VerifyConfig) -> CheckResult:
+@_check("malliavin")
+def check_direct_term_agreement(cfg: VerifyConfig, rec: _Recorder):
     """Each term T_r of the pair's table, T_0 included, matches its defining
     squared-minor form (tr_term_direct)."""
-    rec = _Recorder(cfg.tol_rel)
     top = (1, min(cfg.max_order, 3))
     for i in range(cfg.trials):
         seed, _, d, n, m = _draw(cfg, 24, i, top, top, dim=min(cfg.dim, 3))
@@ -449,13 +461,12 @@ def check_direct_term_agreement(cfg: VerifyConfig) -> CheckResult:
                     _rel_err(mal.tr_term_direct(pair, k, r), term),
                     f"r={r} d={d} n={n} m={m} k={k} seed={seed}",
                 )
-    return rec.result("malliavin", "direct_term_agreement", cfg.seed, cfg.trials)
 
 
-def check_top_term_formula(cfg: VerifyConfig) -> CheckResult:
+@_check("malliavin")
+def check_top_term_formula(cfg: VerifyConfig, rec: _Recorder):
     """For n = m the top correction term reduces to two contraction pairings,
     and at k = n the whole determinant reduces to n!^2 det C."""
-    rec = _Recorder(cfg.tol_rel)
     for i in range(cfg.trials):
         seed, _, d, n = _draw(cfg, 25, i, (2, cfg.max_order))
         pair = mal.random_pair(d, n, n, seed)
@@ -473,12 +484,11 @@ def check_top_term_formula(cfg: VerifyConfig) -> CheckResult:
             _rel_err(table.term(n, 0), math.factorial(n) ** 2 * mal.cov_det(pair)),
             f"k=n d={d} n={n} seed={seed}",
         )
-    return rec.result("malliavin", "top_term_formula", cfg.seed, cfg.trials)
 
 
-def check_degeneracy(cfg: VerifyConfig) -> CheckResult:
+@_check("malliavin", tol=1e-12)
+def check_degeneracy(cfg: VerifyConfig, rec: _Recorder):
     """Proportional components zero out every k; generic pairs zero none."""
-    rec = _Recorder(1e-12)
     for i in range(cfg.trials):
         seed, rng, d, n = _draw(cfg, 26, i, (1, cfg.max_order))
         f = random_symmetric(d, n, seed)
@@ -498,12 +508,11 @@ def check_degeneracy(cfg: VerifyConfig) -> CheckResult:
             or min(greport.expected_dets) <= 0
         ):
             rec.add(1.0, f"generic d={d} n={n} seed={seed}")
-    return rec.result("malliavin", "degeneracy", cfg.seed, cfg.trials)
 
 
-def check_covariance_inequality(cfg: VerifyConfig) -> CheckResult:
+@_check("malliavin")
+def check_covariance_inequality(cfg: VerifyConfig, rec: _Recorder):
     """The determinant inequality and its small-order constants 4, 9/4, 16/9."""
-    rec = _Recorder(cfg.tol_rel)
     for i in range(cfg.trials):
         seed, _, d, n = _draw(cfg, 27, i, (2, max(cfg.max_order, 5)))
         pair = mal.random_pair(d, n, n, seed)
@@ -517,16 +526,15 @@ def check_covariance_inequality(cfg: VerifyConfig) -> CheckResult:
                 max(bound - e1, 0.0) / max(1.0, abs(e1), abs(bound)),
                 f"direct d={d} n={n} seed={seed}",
             )
-    return rec.result("malliavin", "covariance_inequality", cfg.seed, cfg.trials)
 
 
 # -- mc suite -------------------------------------------------------------------
 
 
-def check_mc_reproducibility(cfg: VerifyConfig) -> CheckResult:
+@_check("mc", tol=0.0)
+def check_mc_reproducibility(cfg: VerifyConfig, rec: _Recorder):
     """Same (seed, n_samples) gives bit-identical results; blocks agree with
     single draws."""
-    rec = _Recorder(0.0)
     pair = anchor_pair()
     a = estimate_expected_det(pair, 1, n_samples=5000, seed=cfg.seed)
     b = estimate_expected_det(pair, 1, n_samples=5000, seed=cfg.seed)
@@ -537,12 +545,12 @@ def check_mc_reproducibility(cfg: VerifyConfig) -> CheckResult:
         single = sample_gaussian(3, cfg.seed, 17 + i)
         if not np.array_equal(single, block[i]):
             rec.add(1.0, f"index {17 + i} differs between block and single draws")
-    return rec.result("mc", "reproducibility", cfg.seed, 2)
+    return 2
 
 
-def check_mc_consistency(cfg: VerifyConfig) -> CheckResult:
+@_check("mc", tol=0.05)
+def check_mc_consistency(cfg: VerifyConfig, rec: _Recorder):
     """MC means fall within four standard errors of the closed form."""
-    rec = _Recorder(0.05)
     reps = 20
     pairs = [anchor_pair(), mal.random_pair(2, 2, 2, instance_seed(cfg.seed, 31, 0))]
     for idx, pair in enumerate(pairs):
@@ -555,10 +563,11 @@ def check_mc_consistency(cfg: VerifyConfig) -> CheckResult:
             if abs(est.mean - closed) > 4 * est.stderr:
                 misses += 1
         rec.add(misses / reps, f"pair {idx}: {misses}/{reps} outside 4 stderr")
-    return rec.result("mc", "consistency", cfg.seed, reps * len(pairs))
+    return reps * len(pairs)
 
 
-def check_mc_stderr_scaling(cfg: VerifyConfig) -> CheckResult:
+@_check("mc")
+def check_mc_stderr_scaling(cfg: VerifyConfig, rec: _Recorder):
     """The estimate is the sample mean, and its stderr sqrt(var / samples).
 
     At one derived seed and 1e4 and 4e4 samples of the anchor pair, the
@@ -568,7 +577,6 @@ def check_mc_stderr_scaling(cfg: VerifyConfig) -> CheckResult:
     tol_rel.  No sampling band: the 1/sqrt(samples) scaling is checked
     exactly, not through a ratio of two noisy stderrs.
     """
-    rec = _Recorder(cfg.tol_rel)
     pair = anchor_pair()
     seed = instance_seed(cfg.seed, 34, 0)
     for n in (10_000, 40_000):
@@ -577,10 +585,11 @@ def check_mc_stderr_scaling(cfg: VerifyConfig) -> CheckResult:
         mean, stderr = float(np.mean(vals)), math.sqrt(float(np.var(vals, ddof=1)) / n)
         rec.add(abs(est.mean - mean) / abs(mean), f"mean n={n} seed={seed}")
         rec.add(abs(est.stderr - stderr) / stderr, f"stderr n={n} seed={seed}")
-    return rec.result("mc", "stderr_scaling", cfg.seed, 2)
+    return 2
 
 
-def check_mc_moments(cfg: VerifyConfig) -> CheckResult:
+@_check("mc", tol=5.33)  # P(|z| > 5.33) = 1e-7 for a standard normal z
+def check_mc_moments(cfg: VerifyConfig, rec: _Recorder):
     """Moment estimator recovers E[F] = 0 and E[F^2] = n! ||f||^2 for F = I_2(f).
 
     Each mean is tested as a z-score against the exact standard deviation
@@ -589,7 +598,6 @@ def check_mc_moments(cfg: VerifyConfig) -> CheckResult:
     small exactly when the quartic F^2 draws a low mean).  Passes when
     |z| <= 5.33, a false-failure rate of 1e-7 per mean for a normal z.
     """
-    rec = _Recorder(5.33)  # P(|z| > 5.33) = 1e-7 for a standard normal z
     seed = instance_seed(cfg.seed, 33, 0)
     f = random_symmetric(2, 2, seed)
     F = ChaosExpansion.integral(f)
@@ -601,42 +609,7 @@ def check_mc_moments(cfg: VerifyConfig) -> CheckResult:
         z = (est.mean - target) / math.sqrt(var / est.samples)
         label = "second" if power == 2 else "first"
         rec.add(abs(z), f"{label} moment z={z:.2f} seed={seed}")
-    return rec.result("mc", "moments", cfg.seed, 2)
-
-
-SUITES = {
-    "tensor": (
-        check_slice_reassembly,
-        check_contraction_swap,
-        check_symmetrized_product_inner,
-        check_hat_expansion,
-        check_hat_swap,
-        check_symmetrize_projection,
-    ),
-    "chaos": (
-        check_product_pointwise,
-        check_isometry,
-        check_divergence_identity,
-        check_derivative_finite_difference,
-        check_hermite_orthonormality,
-    ),
-    "malliavin": (
-        check_anchor_values,
-        check_closed_vs_symbolic,
-        check_sum_of_squares_pointwise,
-        check_term_nonnegativity,
-        check_direct_term_agreement,
-        check_top_term_formula,
-        check_degeneracy,
-        check_covariance_inequality,
-    ),
-    "mc": (
-        check_mc_reproducibility,
-        check_mc_consistency,
-        check_mc_stderr_scaling,
-        check_mc_moments,
-    ),
-}
+    return 2
 
 
 def run_suites(cfg: VerifyConfig, suites: list[str]) -> list[CheckResult]:

@@ -122,6 +122,14 @@ class TestGen:
         assert code == 2
         assert err == "chaoskit gen: error: --order-g must be >= 1, got 0\n"
 
+    def test_proportional_with_unequal_orders_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        argv = ("gen", "--order", "2", "--order-g", "3", "--proportional", "2", "-o", str(path))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "chaoskit gen: error: --proportional requires equal orders for f and g\n"
+        assert not path.exists()
+
     @pytest.mark.parametrize("cmd", ["gen", "sweep"])
     def test_oversized_dim_exits_2(self, cmd, tmp_path, capsys):
         # each draw would be 1000^4 doubles (7.3 TiB): refused before allocating
@@ -207,6 +215,18 @@ class TestEdet:
         code, _, err = run(capsys, "edet", "--pair", str(pair_file), "--k", "3")
         assert code == 2
         assert err == "chaoskit edet: error: k = 3 out of range [1, 2]\n"
+
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            ("1,x", "--k must be 'all' or a comma list of integers: '1,x'"),
+            (",", "--k must name at least one order"),
+        ],
+    )
+    def test_unparsable_k_list(self, k, message, pair_file, capsys):
+        code, out, err = run(capsys, "edet", "--pair", str(pair_file), "--k", k)
+        assert code == 2 and out == ""
+        assert err == f"chaoskit edet: error: {message}\n"
 
     def test_k_out_of_range_refused_before_sampling(self, pair_file, capsys, monkeypatch):
         drawn = []
@@ -387,7 +407,7 @@ class TestSweep:
         assert [row["ratio"] for row in rows] == [""] * 4
 
     def test_ratio_null_exactly_where_density_calls_det_c_zero(self, capsys):
-        from chaoskit.malliavin import cov_det, default_density_tol, random_pair
+        from chaoskit.malliavin import Verdict, density_check, random_pair
 
         for dim in (1, 2):
             argv = ("sweep", "--order", "2", "--dim", str(dim), "--trials", "6")
@@ -395,7 +415,7 @@ class TestSweep:
             assert code == 0
             for row in strict_json(out)["rows"]:
                 pair = random_pair(dim, 2, 2, row["seed"])
-                degenerate = cov_det(pair) <= default_density_tol(pair)
+                degenerate = density_check(pair).verdict is Verdict.DEGENERATE
                 assert (row["ratio"] is None) == degenerate
                 if not degenerate:
                     assert row["ratio"] == row["lhs"] / row["rhs"]
@@ -409,6 +429,20 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", "--order", "3", "--dim", "2", "--trials", "3")
         assert code == 0
         assert len(calls) == 3
+
+    def test_failed_trials_exit_1_and_count_violations(self, capsys, monkeypatch):
+        # each trial fails both the inequality and its direct bound
+        real = cli.mal.covariance_inequality
+        monkeypatch.setattr(
+            cli.mal, "covariance_inequality",
+            lambda pair, tol_rel: replace(real(pair, tol_rel=tol_rel), holds=False,
+                                          direct_holds=False),
+        )
+        code, out, _ = run(capsys, "sweep", "--order", "2", "--dim", "2", "--trials", "2")
+        assert code == 1
+        doc = strict_json(out)
+        assert doc["violations"] == 4 and doc["passed"] is False
+        assert [(row["holds"], row["direct_holds"]) for row in doc["rows"]] == [(False, False)] * 2
 
     def test_min_ratio_null_without_ratios(self, capsys, monkeypatch):
         from chaoskit.malliavin import InequalityResult

@@ -223,3 +223,61 @@ def test_chaos_check_detects_broken_primitive(check, monkeypatch):
     result = check(cfg)
     assert result.check == name
     assert not result.passed and result.failures
+
+
+def _broken(owner, name, change):
+    """(owner, name, owner.name with its result passed through change)."""
+    real = getattr(owner, name)
+    return owner, name, lambda *args, **kwargs: change(real(*args, **kwargs))
+
+
+def _flipped(verdict):
+    return (mal.Verdict.ABSOLUTELY_CONTINUOUS if verdict is mal.Verdict.DEGENERATE
+            else mal.Verdict.DEGENERATE)
+
+
+# check -> (owner, name, broken) that breaks one primitive of verify's or
+# malliavin's namespace, made when the test runs; the tensor and chaos
+# checks have theirs in test_acceptance.py and CHAOS_BREAKS, and
+# stderr_scaling and moments theirs above
+BREAKS = {
+    verify.check_symmetrize_projection: lambda: _broken(
+        verify, "symmetrize", lambda t: t.scaled(1.5)),
+    verify.check_anchor_values: lambda: _broken(
+        mal, "expected_det_closed_form", lambda b: replace(b, t0=2 * b.t0)),
+    verify.check_closed_vs_symbolic: lambda: _broken(
+        mal, "expected_dets", lambda dets: tuple(v * (1 + 1e-6) for v in dets)),
+    verify.check_sum_of_squares_pointwise: lambda: _broken(
+        mal, "sum_of_squares_eval", lambda v: 1.001 * v),
+    verify.check_direct_term_agreement: lambda: _broken(
+        mal, "tr_term_direct", lambda v: 1.001 * v),
+    verify.check_term_nonnegativity: lambda: _broken(mal.ContractionTable, "term", lambda v: -v),
+    verify.check_top_term_formula: lambda: _broken(mal.ContractionTable, "term", lambda v: -v),
+    verify.check_degeneracy: lambda: _broken(
+        mal, "density_check", lambda rep: replace(rep, verdict=_flipped(rep.verdict))),
+    verify.check_covariance_inequality: lambda: _broken(
+        mal, "covariance_inequality",
+        lambda res: replace(res, lhs=0.1 * res.lhs, edet1=0.1 * res.edet1)),
+    # each single draw one index ahead of the block
+    verify.check_mc_reproducibility: lambda: (
+        verify, "sample_gaussian", lambda d, seed, i: mc.sample_gaussian(d, seed, i + 1)),
+    verify.check_mc_consistency: lambda: _broken(
+        verify, "estimate_expected_det", lambda e: replace(e, mean=e.mean + 6 * e.stderr)),
+}
+
+
+@pytest.mark.parametrize("check", BREAKS, ids=lambda c: c.__name__)
+def test_check_detects_broken_primitive(check, monkeypatch):
+    monkeypatch.setattr(*BREAKS[check]())
+    result = check(VerifyConfig(seed=7))
+    assert not result.passed and result.failures
+
+
+def test_every_check_function_is_registered_in_one_suite():
+    # a check_ function without its @_check line would leave every report
+    # without anything failing
+    defined = [f for name, f in vars(verify).items()
+               if name.startswith("check_") and inspect.isfunction(f)]
+    registered = [c for checks in verify.SUITES.values() for c in checks]
+    assert len(defined) == len(registered) == 23
+    assert sorted(map(id, defined)) == sorted(map(id, registered))
