@@ -51,7 +51,6 @@ from .mc import (
 from .tensor import (
     Tensor,
     basis_tensor,
-    basis_vector,
     contract,
     hat_contract,
     inner,
@@ -61,7 +60,6 @@ from .tensor import (
     slice_tensor,
     symmetrize,
     tensor_product,
-    tensors_allclose,
 )
 
 __version__ = "0.1.0"
@@ -78,7 +76,6 @@ __all__ = [
     "Tensor",
     "Verdict",
     "basis_tensor",
-    "basis_vector",
     "contract",
     "cov_det",
     "covariance_inequality",
@@ -111,7 +108,6 @@ __all__ = [
     "symmetrize",
     "t0_term",
     "tensor_product",
-    "tensors_allclose",
     "tr_term",
     "tr_term_direct",
     "__version__",

@@ -82,7 +82,7 @@ class ChaosExpansion:
 
     ``terms`` maps chaos order k to the symmetric order-k coefficient
     tensor; absent orders are zero.  Immutable; all-zero tensors are
-    dropped at construction.
+    dropped at construction, and non-finite coefficients are refused.
     """
 
     dim: int
@@ -106,6 +106,8 @@ class ChaosExpansion:
                 )
             if not t.symmetric:
                 raise ValueError(f"term at order {k} is not flagged symmetric")
+            if not np.isfinite(t.coeffs).all():
+                raise ValueError(f"term at order {k} has non-finite coefficients")
             if np.any(t.coeffs):
                 clean[int(k)] = t
         object.__setattr__(self, "terms", clean)
@@ -122,10 +124,6 @@ class ChaosExpansion:
     @staticmethod
     def constant(dim: int, value: float) -> "ChaosExpansion":
         return ChaosExpansion(dim, {0: Tensor.scalar(dim, value)})
-
-    @staticmethod
-    def zero(dim: int) -> "ChaosExpansion":
-        return ChaosExpansion(dim, {})
 
     # -- linear structure --------------------------------------------------
 
@@ -145,14 +143,6 @@ class ChaosExpansion:
     def scale(self, c: float) -> "ChaosExpansion":
         c = float(c)
         return ChaosExpansion(self.dim, {k: t.scaled(c) for k, t in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, ChaosExpansion):
-            return multiply(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, c: float) -> "ChaosExpansion":
-        return self.scale(c)
 
     def max_order(self) -> int:
         return max(self.terms, default=0)
@@ -225,12 +215,8 @@ def _product(
 
 
 def _expansion(dim: int, acc: Mapping[int, np.ndarray]) -> ChaosExpansion:
-    """The chaos expansion with the nonzero coefficient arrays of acc."""
-    terms = {
-        k: Tensor(dim, k, arr, symmetric=True)
-        for k, arr in acc.items()
-        if np.any(arr)
-    }
+    """The chaos expansion with the coefficient arrays of acc."""
+    terms = {k: Tensor(dim, k, arr, symmetric=True) for k, arr in acc.items()}
     return ChaosExpansion(dim, terms)
 
 

@@ -209,13 +209,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     passed = all(r.passed for r in results)
     rows = []
     for r in results:
-        row = r.to_dict()
+        row = asdict(r)
         row["failures"] = "; ".join(r.failures)
         rows.append(row)
     report = {
         "command": "verify",
         "config": {"suite": suites, **asdict(vcfg)},
-        "checks": [r.to_dict() for r in results],
+        "checks": [asdict(r) for r in results],
         "passed": passed,
     }
     _emit(report, rows, args)

@@ -1,10 +1,12 @@
-"""JSON file format for pairs, with a codec for their tensor components.
+"""JSON file format for pairs.
 
-A component lists only its nonzero entries; unlisted coefficients are
-zero and listed ones must be finite.  A component stored with
-"symmetric": true is verified on load and rejected if the coefficients
-are not actually symmetric.  One whose dense array would exceed
-``tensor.MAX_ARRAY_BYTES`` is refused before anything is allocated.
+The components f and g are written and read by a private codec.  A
+component lists only its nonzero entries, in row-major order; unlisted
+coefficients are zero and listed ones must be finite.  A component
+stored with "symmetric": true is verified on load and rejected if the
+coefficients are not actually symmetric.  One whose dense array would
+exceed ``tensor.MAX_ARRAY_BYTES`` is refused before anything is
+allocated.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ __all__ = [
     "pair_from_dict",
     "pair_to_dict",
     "save_pair",
-    "tensor_from_dict",
-    "tensor_to_dict",
 ]
 
 PathLike = Union[str, Path]
@@ -57,16 +57,13 @@ def _require(obj: dict, key: str, kind, where: str):
 # -- pair components ----------------------------------------------------------
 
 
-def tensor_to_dict(t: Tensor) -> dict:
-    if t.order == 0:
-        v = t.item()
-        entries = [{"index": [], "value": v}] if v != 0.0 else []
-    else:
-        nz = np.nonzero(t.coeffs)  # row-major order
-        entries = [
-            {"index": index, "value": value}
-            for index, value in zip(np.transpose(nz).tolist(), t.coeffs[nz].tolist())
-        ]
+def _tensor_to_dict(t: Tensor) -> dict:
+    """A pair component (order >= 1, as MalliavinPair requires)."""
+    nz = np.nonzero(t.coeffs)  # row-major order
+    entries = [
+        {"index": index, "value": value}
+        for index, value in zip(np.transpose(nz).tolist(), t.coeffs[nz].tolist())
+    ]
     return {
         "dim": t.dim,
         "order": t.order,
@@ -119,7 +116,7 @@ def _entry_arrays(entries: list, dim: int, order: int) -> tuple[np.ndarray, np.n
     raise AssertionError("bulk entry checks refused entries that each pass")
 
 
-def tensor_from_dict(obj: dict) -> Tensor:
+def _tensor_from_dict(obj: dict) -> Tensor:
     if not isinstance(obj, dict):
         raise SchemaError("tensor: document must be an object")
     dim = _require(obj, "dim", int, "tensor")
@@ -147,8 +144,8 @@ def pair_to_dict(pair: MalliavinPair, seed: Optional[int] = None) -> dict:
         "dim": pair.dim,
         "n": pair.n,
         "m": pair.m,
-        "f": tensor_to_dict(pair.f),
-        "g": tensor_to_dict(pair.g),
+        "f": _tensor_to_dict(pair.f),
+        "g": _tensor_to_dict(pair.g),
     }
     if seed is not None:
         out["seed"] = seed
@@ -161,8 +158,8 @@ def pair_from_dict(obj: dict) -> MalliavinPair:
     dim = _require(obj, "dim", int, "pair")
     n = _require(obj, "n", int, "pair")
     m = _require(obj, "m", int, "pair")
-    f = tensor_from_dict(_require(obj, "f", dict, "pair"))
-    g = tensor_from_dict(_require(obj, "g", dict, "pair"))
+    f = _tensor_from_dict(_require(obj, "f", dict, "pair"))
+    g = _tensor_from_dict(_require(obj, "g", dict, "pair"))
     if (f.dim, f.order) != (dim, n) or (g.dim, g.order) != (dim, m):
         raise SchemaError("pair: component shapes disagree with dim/n/m")
     try:

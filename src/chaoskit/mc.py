@@ -101,8 +101,6 @@ def sample_gaussian_block(dim: int, seed: int, start: int, count: int) -> np.nda
     _check_seed(seed)
     if start < 0 or count < 0:
         raise ValueError("start and count must be >= 0")
-    if count == 0:
-        return np.empty((0, dim))
     pairs = (dim + 1) // 2  # two uniforms per pair of normals
     words = _raw_words(seed, start * 2 * pairs, count * 2 * pairs)
     words >>= np.uint64(11)  # 53-bit mantissas

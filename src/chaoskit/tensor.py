@@ -9,6 +9,10 @@ Indices are 0-based.  Classical treatments of Wiener chaos number the
 orthonormal basis from 1, so entry ``(j1, ..., jk)`` here corresponds to
 ``(j1+1, ..., jk+1)`` there.
 
+A tensor is read through its read-only ``coeffs`` array, so values are
+compared there too; its own operations are ``item``, ``scaled``, ``+``
+and the ``zeros``/``scalar`` constructors.
+
 Contractions pair the *first* r slots of each operand.  For r > 0 this is
 only well defined for symmetric operands, which is enforced; symmetry of
 an input is tracked by a flag set by the constructions that guarantee it
@@ -28,7 +32,6 @@ __all__ = [
     "MAX_ARRAY_BYTES",
     "Tensor",
     "basis_tensor",
-    "basis_vector",
     "contract",
     "hat_contract",
     "inner",
@@ -38,7 +41,6 @@ __all__ = [
     "slice_tensor",
     "symmetrize",
     "tensor_product",
-    "tensors_allclose",
 ]
 
 
@@ -69,7 +71,7 @@ def _require_array_size(
 class Tensor:
     """Dense order-n coefficient array over a d-dimensional basis.
 
-    Equality is identity; compare values with :func:`tensors_allclose`.
+    Equality is identity; compare values through ``coeffs``.
 
     Parameters
     ----------
@@ -106,9 +108,6 @@ class Tensor:
 
     # -- conveniences ---------------------------------------------------
 
-    def __getitem__(self, idx):
-        return self.coeffs[idx]
-
     def item(self) -> float:
         """Value of an order-0 tensor."""
         if self.order != 0:
@@ -127,14 +126,6 @@ class Tensor:
             symmetric=self.symmetric and other.symmetric,
         )
 
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return self + other.scaled(-1.0)
-
-    def __mul__(self, c: float) -> "Tensor":
-        return self.scaled(float(c))
-
-    __rmul__ = __mul__
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = "symmetric" if self.symmetric else "general"
         return f"Tensor(dim={self.dim}, order={self.order}, {tag})"
@@ -146,15 +137,6 @@ class Tensor:
     @staticmethod
     def scalar(dim: int, value: float) -> "Tensor":
         return Tensor(dim, 0, np.asarray(float(value)), symmetric=True)
-
-
-def basis_vector(dim: int, j: int) -> Tensor:
-    """Order-1 basis tensor e_j (0-based)."""
-    if not 0 <= j < dim:
-        raise ValueError(f"basis index {j} out of range [0, {dim})")
-    arr = np.zeros(dim)
-    arr[j] = 1.0
-    return Tensor(dim, 1, arr, symmetric=True)
 
 
 def basis_tensor(dim: int, indices: Sequence[int]) -> Tensor:
@@ -391,11 +373,3 @@ def random_symmetric(dim: int, order: int, seed) -> Tensor:
     rng = np.random.default_rng(seed)
     arr = np.asarray(rng.standard_normal((dim,) * order))
     return symmetrize(Tensor(dim, order, arr))
-
-
-def tensors_allclose(
-    f: Tensor, g: Tensor, rel: float = 1e-9, abs_tol: float = 0.0
-) -> bool:
-    """Entrywise closeness of two tensors of identical shape."""
-    _require_same_shape(f, g)
-    return bool(np.allclose(f.coeffs, g.coeffs, rtol=rel, atol=abs_tol))

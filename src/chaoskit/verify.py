@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -70,10 +70,8 @@ class CheckResult:
     expected: float
     tolerance: float
     passed: bool
+    failed: int = 0
     failures: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def instance_seed(base: int, salt: int, i: int) -> int:
@@ -153,6 +151,7 @@ def _check(suite: str, tol: float | None = None):
                 expected=0.0,
                 tolerance=rec.tolerance,
                 passed=not rec.failures,
+                failed=len(rec.failures),
                 failures=rec.failures[:10],
             )
 

@@ -466,7 +466,7 @@ class TestVerify:
         assert code == 0
         doc = json.loads(out)
         assert doc["passed"] is True
-        assert all(c["passed"] for c in doc["checks"])
+        assert all(c["passed"] and c["failed"] == 0 for c in doc["checks"])
         assert all(c["seed"] == 7 for c in doc["checks"])
         assert "tol_abs" not in doc["config"]  # no check reads an absolute tolerance
 

@@ -39,7 +39,6 @@ from chaoskit.malliavin import (
 from chaoskit.tensor import (
     Tensor,
     basis_tensor,
-    basis_vector,
     contract,
     hat_contract,
     inner,
@@ -81,18 +80,18 @@ class TestPairValidation:
         from chaoskit.tensor import Tensor
 
         with pytest.raises(ValueError):
-            MalliavinPair(Tensor.scalar(2, 1.0), basis_vector(2, 0))
+            MalliavinPair(Tensor.scalar(2, 1.0), basis_tensor(2, (0,)))
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            MalliavinPair(basis_vector(2, 0), basis_vector(3, 0))
+            MalliavinPair(basis_tensor(2, (0,)), basis_tensor(3, (0,)))
 
     @pytest.mark.parametrize("side", ["f", "g"])
     def test_rejects_non_finite(self, side):
         from chaoskit.tensor import Tensor
 
         bad = Tensor(2, 1, [1, float("nan")], symmetric=True)
-        good = basis_vector(2, 1)
+        good = basis_tensor(2, (1,))
         f, g = (bad, good) if side == "f" else (good, bad)
         with pytest.raises(ValueError, match=f"component {side} has non-finite"):
             MalliavinPair(f, g)
@@ -104,7 +103,7 @@ class TestPairValidation:
         with pytest.raises(ValueError):
             density_check(
                 MalliavinPair(
-                    Tensor(2, 1, [1, float("nan")], symmetric=True), basis_vector(2, 1)
+                    Tensor(2, 1, [1, float("nan")], symmetric=True), basis_tensor(2, (1,))
                 )
             )
 
@@ -114,7 +113,7 @@ class TestPairValidation:
         # when it is built, not by whichever route first reads it
         from chaoskit.chaos import CoefficientCapError
 
-        big, small = basis_tensor(1, (0,) * 21), basis_vector(1, 0)
+        big, small = basis_tensor(1, (0,) * 21), basis_tensor(1, (0,))
         f, g = (big, small) if side == "f" else (small, big)
         with pytest.raises(CoefficientCapError, match="factorial argument 21 exceeds cap 20"):
             MalliavinPair(f, g)
@@ -152,7 +151,7 @@ class TestGramChaos:
             assert np.allclose(a.terms[k].coeffs, c.terms[k].coeffs)
 
     def test_first_chaos_gradient_is_constant(self):
-        f = basis_vector(3, 0) + basis_vector(3, 2).scaled(2.0)
+        f = basis_tensor(3, (0,)) + basis_tensor(3, (2,)).scaled(2.0)
         pair = MalliavinPair(f, f)
         a, _, _ = gram_chaos(pair, 1)
         assert set(a.terms) == {0}
@@ -176,8 +175,8 @@ class TestSymbolicDeterminant:
         assert expected_det_chaos(worked_pair, 1) == pytest.approx(12.0)
 
     def test_first_chaos_is_gram_determinant(self):
-        f = basis_vector(2, 0)
-        g = basis_vector(2, 0) + basis_vector(2, 1).scaled(2.0)
+        f = basis_tensor(2, (0,))
+        g = basis_tensor(2, (0,)) + basis_tensor(2, (1,)).scaled(2.0)
         pair = MalliavinPair(f, g)
         det = det_chaos(pair, 1)
         assert set(det.terms) == {0}
@@ -428,13 +427,13 @@ def gram_chaos_loop(pair, k):
     dF = derivative(ChaosExpansion.integral(pair.f), k)
     dG = derivative(ChaosExpansion.integral(pair.g), k)
     info = orbit_info(d, k)
-    a, b, c = (ChaosExpansion.zero(d) for _ in range(3))
+    a, b, c = (ChaosExpansion(d, {}) for _ in range(3))
     for rep, count in zip(info.reps, info.counts):
         idx = tuple(int(j) for j in rep)
         eF, eG, w = dF[idx], dG[idx], float(count)
-        a = a + w * multiply(eF, eF)
-        b = b + w * multiply(eF, eG)
-        c = c + w * multiply(eG, eG)
+        a = a + multiply(eF, eF).scale(w)
+        b = b + multiply(eF, eG).scale(w)
+        c = c + multiply(eG, eG).scale(w)
     return a, b, c
 
 
@@ -500,8 +499,9 @@ def tr_term_direct_loop(pair, k, r):
         fi, gi = slice_tensor(f, i), slice_tensor(g, i)
         for l in indices:
             fl, gl = slice_tensor(f, l), slice_tensor(g, l)
-            diff = symmetrize(contract(fi, gl, r)) - symmetrize(contract(fl, gi, r))
-            total += inner(diff, diff)
+            a = symmetrize(contract(fi, gl, r)).coeffs
+            diff = a - symmetrize(contract(fl, gi, r)).coeffs
+            total += float(np.vdot(diff, diff))
     return 0.5 * float(alpha) * total
 
 
@@ -604,7 +604,7 @@ class TestCovDet:
         assert cov_det(worked_pair) == pytest.approx(2.0)
 
     def test_orthonormal_first_chaos(self):
-        pair = MalliavinPair(basis_vector(2, 0), basis_vector(2, 1))
+        pair = MalliavinPair(basis_tensor(2, (0,)), basis_tensor(2, (1,)))
         assert cov_det(pair) == pytest.approx(1.0)
 
     def test_rejects_unequal_orders(self):
@@ -656,7 +656,7 @@ class TestCovarianceInequality:
         assert res.holds
 
     def test_rejects_first_order(self):
-        pair = MalliavinPair(basis_vector(2, 0), basis_vector(2, 1))
+        pair = MalliavinPair(basis_tensor(2, (0,)), basis_tensor(2, (1,)))
         with pytest.raises(ValueError):
             covariance_inequality(pair)
 
@@ -742,6 +742,46 @@ class TestRotationInvariance:
             assert (a.verdict, a.consistent) == (b.verdict, b.consistent)
         assert density_check(prop).verdict is Verdict.DEGENERATE
         assert density_check(pair).verdict is Verdict.ABSOLUTELY_CONTINUOUS
+
+
+# every order up to 6 at d = 2, 3, 4 (d^max(n, m) <= 4096 coefficients)
+_FAMILY_CASES = [(d, n, m) for d in (2, 3, 4) for n in range(1, 7) for m in range(1, 7)]
+
+
+class TestExactFamily:
+    """F = I_n(a u^n) and G = I_m(b v^m) with orthonormal u, v: D^k F and D^k G
+    lie along u^k and v^k, so det Lambda_k is the product of their squared
+    norms, (n!/(n-k)!)^2 a^2 H_{n-k}(W(u))^2 (m!/(m-k)!)^2 b^2 H_{m-k}(W(v))^2,
+    and E det = a^2 b^2 n!^2 m!^2 / ((n-k)! (m-k)!) at every k, exactly."""
+
+    @staticmethod
+    def _check(pair, scale):
+        n, m = pair.n, pair.m
+        want = [
+            scale * math.factorial(n) ** 2 * math.factorial(m) ** 2
+            / (math.factorial(n - k) * math.factorial(m - k))
+            for k in range(1, min(n, m) + 1)
+        ]
+        np.testing.assert_allclose(expected_dets(pair), want, rtol=1e-12, atol=0)
+        if n == m:
+            report = density_check(pair)
+            assert report.verdict is Verdict.ABSOLUTELY_CONTINUOUS and report.consistent
+
+    @pytest.mark.parametrize("d, n, m", _FAMILY_CASES)
+    def test_basis_directions(self, d, n, m):
+        self._check(MalliavinPair(basis_tensor(d, (0,) * n), basis_tensor(d, (1,) * m)), 1.0)
+
+    @pytest.mark.parametrize("d, n, m", _FAMILY_CASES)
+    def test_rotated_and_scaled(self, d, n, m):
+        # u, v = q e_0, q e_1 for an orthogonal q, so q on every axis of e_0^n
+        # gives u^n
+        for seed in range(5):
+            rng = np.random.default_rng([seed, d, n, m])
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            a, b = rng.uniform(0.5, 2.0, 2)
+            f = rotated(basis_tensor(d, (0,) * n), q).scaled(a)
+            g = rotated(basis_tensor(d, (1,) * m), q).scaled(b)
+            self._check(MalliavinPair(f, g), (a * b) ** 2)
 
 
 class TestOracleSizeCap:

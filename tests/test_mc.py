@@ -16,7 +16,7 @@ from chaoskit.mc import (
     sample_gaussian,
     sample_gaussian_block,
 )
-from chaoskit.tensor import basis_tensor, basis_vector, random_symmetric, symmetrize
+from chaoskit.tensor import basis_tensor, random_symmetric, symmetrize
 
 
 def worked_pair():
@@ -80,7 +80,7 @@ class TestSampler:
         assert not np.array_equal(top, sample_gaussian_block(2, 0, 0, 4))
 
     def test_estimators_reject_aliasing_seed(self):
-        F = ChaosExpansion.integral(basis_vector(2, 0))
+        F = ChaosExpansion.integral(basis_tensor(2, (0,)))
         with pytest.raises(ValueError):
             estimate_expected_det(worked_pair(), 1, n_samples=100, seed=2**128)
         with pytest.raises(ValueError):
@@ -103,7 +103,7 @@ class TestEstimateExpectedDet:
         assert abs(est.mean - 12.0) <= 4 * est.stderr
 
     def test_first_chaos_is_exact(self):
-        pair = MalliavinPair(basis_vector(2, 0), basis_vector(2, 1))
+        pair = MalliavinPair(basis_tensor(2, (0,)), basis_tensor(2, (1,)))
         est = estimate_expected_det(pair, 1, n_samples=1000, seed=2)
         assert est.mean == pytest.approx(1.0, rel=1e-12)
         assert est.stderr == pytest.approx(0.0, abs=1e-12)
@@ -189,7 +189,7 @@ class TestEstimateMoment:
     def test_stderr_with_large_mean(self):
         # the one-pass sum(x^2) - n mean^2 reported 3.6e-3 here, 1000x too big
         F = ChaosExpansion.constant(1, 1e8) + ChaosExpansion.integral(
-            basis_vector(1, 0).scaled(1e-3)
+            basis_tensor(1, (0,)).scaled(1e-3)
         )
         n = 100_000
         est = estimate_moment(F, 1, n_samples=n, seed=3)

@@ -273,6 +273,16 @@ def test_check_detects_broken_primitive(check, monkeypatch):
     assert not result.passed and result.failures
 
 
+def test_report_counts_every_failure_and_lists_the_first_ten(monkeypatch):
+    # all 40 single draws are one index ahead of the block, so all 40 fail
+    monkeypatch.setattr(*BREAKS[verify.check_mc_reproducibility]())
+    result = verify.check_mc_reproducibility(VerifyConfig(seed=7))
+    assert result.failed == 40
+    assert result.failures == [
+        f"index {17 + i} differs between block and single draws" for i in range(10)
+    ]
+
+
 def test_every_check_function_is_registered_in_one_suite():
     # a check_ function without its @_check line would leave every report
     # without anything failing
