@@ -82,7 +82,7 @@ class ChaosExpansion:
 
     ``terms`` maps chaos order k to the symmetric order-k coefficient
     tensor; absent orders are zero.  Immutable; all-zero tensors are
-    dropped at construction, and non-finite coefficients are refused.
+    dropped at construction (a Tensor never holds non-finite values).
     """
 
     dim: int
@@ -106,8 +106,6 @@ class ChaosExpansion:
                 )
             if not t.symmetric:
                 raise ValueError(f"term at order {k} is not flagged symmetric")
-            if not np.isfinite(t.coeffs).all():
-                raise ValueError(f"term at order {k} has non-finite coefficients")
             if np.any(t.coeffs):
                 clean[int(k)] = t
         object.__setattr__(self, "terms", clean)

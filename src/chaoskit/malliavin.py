@@ -20,14 +20,18 @@ and this module computes its determinant three independent ways:
 * in closed form, as E det = T_0 + sum_{r>=1} T_r, every T_r one
   weighted difference of quadruple (hat) contractions, whose r = 0 row
   is the contraction norms ||f x_s g||^2, all read for every k from one
-  :class:`ContractionTable` of the C_r = f x_r g.  This is the
-  production route; :func:`tr_term_direct` and ``tensor.hat_contract``
-  are oracles for the tests and ``verify`` only.
+  :class:`ContractionTable` of the C_r = f x_r g, each held as the
+  matrix of its permutation-orbit values (the symmetric-tensor <->
+  polynomial correspondence: a symmetric tensor of order q is fixed by
+  its C(d+q-1, q) orbit values).  This is the production route;
+  :func:`tr_term_direct` and ``tensor.hat_contract`` are dense oracles
+  for the tests and ``verify`` only.
 
 The oracles are batched but stay independent of the closed form: the
 symbolic route is chaos arithmetic on derivative coordinates, and
-:func:`tr_term_direct` contracts slices of f with slices of g; neither
-reads the table's hat contractions or its term formula.
+:func:`tr_term_direct` contracts dense slices of f with slices of g;
+neither reads the table's orbit coordinates, hat contractions or term
+formula.
 
 It also provides the covariance determinant
 det C = n!^2 (||f||^2 ||g||^2 - <f, g>^2), the inequality bounding
@@ -43,6 +47,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -64,7 +69,7 @@ from .tensor import (
     _orbit_average,
     _orbit_sums,
     _require_array_size,
-    contract,
+    _require_bytes,
     inner,
     orbit_info,
     random_symmetric,
@@ -94,7 +99,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class MalliavinPair:
     """The pair (F, G) = (I_n(f), I_m(g)) over a shared d-dimensional basis."""
 
@@ -111,9 +116,6 @@ class MalliavinPair:
         checked_factorial(self.g.order)
         if not (self.f.symmetric and self.g.symmetric):
             raise ValueError("components must be symmetric tensors")
-        for name, t in (("f", self.f), ("g", self.g)):
-            if not np.isfinite(t.coeffs).all():
-                raise ValueError(f"component {name} has non-finite coefficients")
 
     @property
     def dim(self) -> int:
@@ -258,31 +260,93 @@ def sum_of_squares_eval(pair: MalliavinPair, k: int, xi):
 
 # -- closed-form route: one contraction table per pair -----------------------
 
+# gather plans kept for this many shapes (d, p, q) and (d, p, q, s) each
+_PLAN_CACHE_SIZE = 128
+
+
+def _orbit_count(dim: int, order: int) -> int:
+    """N(d, q) = C(d+q-1, q), the number of permutation orbits of [0, d)^q."""
+    return math.comb(dim + order - 1, order)
+
+
+def _rep_positions(dim: int, order: int) -> np.ndarray:
+    """Flat position in a dense (dim,) * order array of each orbit representative."""
+    return orbit_info(dim, order).reps @ dim ** np.arange(order - 1, -1, -1)
+
+
+def _merge(dim: int, p: int, q: int) -> np.ndarray:
+    """(N(p), N(q)) orbit ids in orbit_info(dim, p + q) of the multisets a + b,
+    a and b the representatives of orders p and q: the inverse map read at
+    the flat position of the concatenated representatives."""
+    a, b = (_rep_positions(dim, o) for o in (p, q))
+    return orbit_info(dim, p + q).inverse[a[:, None] * dim**q + b]
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _gather(dim: int, p: int, r: int) -> np.ndarray:
+    """Flat positions in a dense order-(p + r) symmetric tensor f of
+    F[a, c] = f[a + c], read at the representative of a + c, over the
+    representatives a of order p and c of order r."""
+    return _rep_positions(dim, p + r)[_merge(dim, p, r)]
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _swap_plan(dim: int, p: int, q: int, s: int) -> tuple[np.ndarray, ...]:
+    """Flat indices ix, iy into an (N(p), N(q)) orbit matrix c and weights w,
+    so that w @ (c[ix] * c[iy]) is the sum of c[a1+a2, b1+b2] c[b1+a2, a1+b2]
+    over every index tuple, a1 and b1 of length s: axes (a1, a2, b1, b2)
+    run over orbits, each weighted by its size."""
+    ma, mb = _merge(dim, s, p - s), _merge(dim, s, q - s)
+    nq = _orbit_count(dim, q)
+    ix = ma[:, :, None, None] * nq + mb[None, None]
+    iy = ma.T[None, :, :, None] * nq + mb[:, None, None, :]
+    cs, ca, cb = (orbit_info(dim, o).counts.astype(np.float64) for o in (s, p - s, q - s))
+    w = np.multiply.outer(np.multiply.outer(cs, ca), np.multiply.outer(cs, cb))
+    return ix.ravel(), iy.ravel(), w.ravel()
+
 
 class ContractionTable:
-    """The closed form's hat contractions, each C_r = f x_r g once.
+    """The closed form's hat contractions, each C_r = f x_r g once, in orbit
+    coordinates.
 
     ``hats[(r, s)]`` = hat(f,g,g,f; r,s) for r, s >= 0, r + s <= min(n, m):
     C_r against itself with its first s f-slots and first s g-slots
-    swapped.  hats[(r, s)] = hats[(s, r)] (the swap identity) is read off
-    the smaller contraction, so the r = 0 row is the norms ||C_s||^2,
-    with ||C_0||^2 = ||f||^2 ||g||^2 so the outer product is never built.
-    A table lives for one call; nothing is stored on the pair.
+    swapped.  C_r is symmetric within its f block and within its g block,
+    so it is held as the N(d, n-r) x N(d, m-r) matrix of its orbit values,
+    where N(d, q) = C(d+q-1, q): C_r = (F_r * M_r) @ G_r^T, with
+    F_r[a, c] = f[a + c] over the multisets a of size n-r and c of size r
+    and M_r the orbit sizes of the c.  Every hat is then a sum over orbits
+    weighted by orbit sizes: ||C_r||^2 = w_a @ (C_r * C_r) @ w_b, and for
+    s >= 1 one weighted dot of two gathers of C_r (see _swap_plan).
+    hats[(r, s)] = hats[(s, r)] (the swap identity) is read off the
+    smaller contraction, so the r = 0 row is the norms ||C_s||^2, with
+    ||C_0||^2 = ||f||^2 ||g||^2 so the outer product is never built.  The
+    gathers depend only on the shapes and are cached.  Every array is
+    checked against MAX_ARRAY_BYTES before it is built, and none is larger
+    than the dense array it stands for (f, g, or the d^(n+m-2r) entries of
+    C_r).  A table lives for one call; nothing is stored on the pair.
     """
 
     def __init__(self, pair: MalliavinPair):
-        n, m, f, g = pair.n, pair.m, pair.f, pair.g
+        d, n, m = pair.dim, pair.n, pair.m
         self.n, self.m = n, m
-        self.hats = {(0, 0): inner(f, f) * inner(g, g)}
+        self.hats = hats = {(0, 0): inner(pair.f, pair.f) * inner(pair.g, pair.g)}
+        f, g = pair.f.coeffs.ravel(), pair.g.coeffs.ravel()
+        what = f"contraction table: dim {d} and orders ({n}, {m})"
         for r in range(1, min(n, m) + 1):
-            c = contract(f, g, r).coeffs
-            self.hats[(r, 0)] = self.hats[(0, r)] = float(np.vdot(c, c))
-            p = n - r  # f-slots of c; swap slots [0, s) with [p, p + s)
-            for s in range(1, min(r, p, m - r) + 1):
-                axes = (*range(p, p + s), *range(s, p), *range(s), *range(p + s, c.ndim))
-                self.hats[(r, s)] = self.hats[(s, r)] = float(
-                    np.vdot(c, c.transpose(axes))
-                )
+            p, q = n - r, m - r
+            np_, nq, nr = (_orbit_count(d, o) for o in (p, q, r))
+            _require_bytes(what, 8 * max(max(np_, nq) * nr, np_ * nq))  # F_r, G_r, C_r
+            c = (f[_gather(d, p, r)] * orbit_info(d, r).counts) @ g[_gather(d, q, r)].T
+            hats[(r, 0)] = hats[(0, r)] = float(
+                orbit_info(d, p).counts @ (c * c) @ orbit_info(d, q).counts
+            )
+            c = c.ravel()
+            for s in range(1, min(r, p, q) + 1):
+                plan = _orbit_count(d, s) ** 2 * _orbit_count(d, p - s) * _orbit_count(d, q - s)
+                _require_bytes(what, 8 * plan)
+                ix, iy, w = _swap_plan(d, p, q, s)
+                hats[(r, s)] = hats[(s, r)] = float(w @ (c[ix] * c[iy]))
 
     def term(self, k: int, r: int) -> float:
         """T_r of the k-th iterated matrix, 0 <= r <= min(n, m) - k: beta(k, r)

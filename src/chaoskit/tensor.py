@@ -46,8 +46,9 @@ __all__ = [
 
 # the largest dense array that a builder of d**n entries (a random or loaded
 # tensor, a contraction, a product formula term, an orbit grid, an oracle's
-# outer product) may allocate; a larger one is refused up front, not found as
-# an out-of-memory error
+# outer product) or one array of the closed form's contraction table may
+# allocate; a larger one is refused up front, not found as an out-of-memory
+# error
 MAX_ARRAY_BYTES = 2**30
 
 
@@ -59,15 +60,16 @@ def _require_array_size(
 
     Checked in integer arithmetic, before anything is allocated.
     """
-    nbytes = entry_bytes * dim**order
+    _require_bytes(f"{what}: dim {dim} and order {order}", entry_bytes * dim**order, error)
+
+
+def _require_bytes(what: str, nbytes: int, error=ValueError) -> None:
+    """Refuse an array of nbytes bytes above MAX_ARRAY_BYTES; what names it."""
     if nbytes > MAX_ARRAY_BYTES:
-        raise error(
-            f"{what}: dim {dim} and order {order} need {nbytes} bytes, "
-            f"above the cap of {MAX_ARRAY_BYTES} bytes"
-        )
+        raise error(f"{what} need {nbytes} bytes, above the cap of {MAX_ARRAY_BYTES} bytes")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Tensor:
     """Dense order-n coefficient array over a d-dimensional basis.
 
@@ -80,7 +82,7 @@ class Tensor:
     order : int
         Tensor order n, at least 0.
     coeffs : array_like
-        d**n coefficients with shape ``(d,) * n``.
+        d**n finite coefficients with shape ``(d,) * n``.
     symmetric : bool
         Whether the coefficients are invariant under index permutation.
         Trusted by contraction preconditions; see :func:`is_symmetric`
@@ -103,6 +105,8 @@ class Tensor:
             raise ValueError(
                 f"coeffs shape {arr.shape} does not match (dim,)*order {expected}"
             )
+        if not np.isfinite(arr).all():
+            raise ValueError(f"order {self.order} tensor has non-finite coefficients")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
@@ -334,8 +338,9 @@ def hat_contract(
     between g and h, n-r-s slots between f and h, and m-r-s slots between
     g and ell.  Satisfies the swap identity: exchanging (g, r) with
     (ell, s) leaves the value unchanged.  An oracle for the tests and
-    ``verify``; the closed form reads hat(f,g,g,f; r,s) from one
-    contraction per r instead (see malliavin.ContractionTable).
+    ``verify``, dense on purpose: the closed form reads hat(f,g,g,f; r,s)
+    from the orbit values of f x_r g instead, one N(d, n-r) x N(d, m-r)
+    matrix per r (see malliavin.ContractionTable).
     """
     n, m = f.order, g.order
     if h.order != n or ell.order != m:

@@ -52,13 +52,14 @@ class TestConstruction:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_coefficients(self, bad):
-        # evaluate would otherwise return nan or inf at every point
-        with pytest.raises(ValueError, match="^term at order 1 has non-finite"):
+        # evaluate would otherwise return nan or inf at every point; the
+        # coefficient tensors refuse such values when they are built
+        with pytest.raises(ValueError, match="^order 1 tensor has non-finite"):
             I(Tensor(2, 1, [bad, 1.0], symmetric=True))
-        with pytest.raises(ValueError, match="^term at order 0 has non-finite"):
+        with pytest.raises(ValueError, match="^order 0 tensor has non-finite"):
             ChaosExpansion.constant(2, bad)
         good = random_symmetric(2, 2, 1)
-        with pytest.raises(ValueError, match="^term at order 3 has non-finite"):
+        with pytest.raises(ValueError, match="^order 3 tensor has non-finite"):
             ChaosExpansion(2, {2: good, 3: Tensor(2, 3, np.full((2,) * 3, bad), True)})
 
     def test_rejects_order_above_cap(self):

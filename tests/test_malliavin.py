@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
-from chaoskit import verify
+from chaoskit import malliavin, tensor, verify
 from chaoskit.chaos import ChaosExpansion, derivative, evaluate, expectation, multiply
 from chaoskit.malliavin import (
     ContractionTable,
@@ -90,11 +90,11 @@ class TestPairValidation:
     def test_rejects_non_finite(self, side):
         from chaoskit.tensor import Tensor
 
-        bad = Tensor(2, 1, [1, float("nan")], symmetric=True)
+        # a component cannot hold nan: its Tensor refuses it
         good = basis_tensor(2, (1,))
-        f, g = (bad, good) if side == "f" else (good, bad)
-        with pytest.raises(ValueError, match=f"component {side} has non-finite"):
-            MalliavinPair(f, g)
+        with pytest.raises(ValueError, match="^order 1 tensor has non-finite"):
+            bad = Tensor(2, 1, [1, float("nan")], symmetric=True)
+            MalliavinPair(*((bad, good) if side == "f" else (good, bad)))
 
     def test_non_finite_pair_gets_no_verdict(self):
         # used to return ABSOLUTELY_CONTINUOUS with cov_det = nan
@@ -409,7 +409,8 @@ class TestContractionTable:
             assert value == expected_det_closed_form(pair, k).closed_form
 
     def test_density_check_never_builds_the_outer_product(self):
-        # d = 4, n = 6: f x_0 g would be 4^12 doubles (134 MB)
+        # d = 4, n = 6: f x_0 g would be 4^12 doubles (134 MB) and the dense
+        # C_1 4^10 (8.4 MB)
         pair = random_pair(4, 6, 6, 3)
         tracemalloc.start()
         try:
@@ -417,7 +418,7 @@ class TestContractionTable:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 4 * 2**20
 
 
 def gram_chaos_loop(pair, k):
@@ -469,8 +470,22 @@ def reference_tr(hats, n, m, k, r):
     return float(_beta(n, m, k, r)) * total
 
 
+def reference_t0_scale(norms, n, m, k):
+    """The absolute-term scale of reference_t0: its sum with every norm
+    difference replaced by the sum of the two norms."""
+    lead = math.factorial(m) ** 2 * math.factorial(n) ** 2 // (
+        math.factorial(m - k) * math.factorial(n - k)
+    )
+    total = sum(
+        math.comb(m - k, s) * math.comb(n - k, s) * (norms[s] + norms[s + k])
+        for s in range(min(m - k, n - k) + 1)
+    )
+    return float(lead) * total
+
+
 class TestOneTermFormula:
-    """term(k, r) is the separate T_0 and T_r bodies, bit for bit."""
+    """term(k, r) is the separate T_0 and T_r bodies: bit for bit where the
+    formula is shared, and within rounding of the dense contraction norms."""
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_matches_the_separate_bodies(self, d):
@@ -478,13 +493,16 @@ class TestOneTermFormula:
             pair = random_pair(d, n, m, 1000 * d + 10 * n + m)
             table = ContractionTable(pair)
             norms = reference_norms(pair)
-            assert [table.hats[(0, s)].hex() for s in range(len(norms))] == [
-                v.hex() for v in norms
-            ]
+            # the orbit sums round differently from the dense norms
+            np.testing.assert_allclose(
+                [table.hats[(0, s)] for s in range(len(norms))], norms, rtol=1e-13, atol=0
+            )
             for k in range(1, min(n, m) + 1):
                 t0, tr = table.terms(k)
-                assert t0.hex() == table.term(k, 0).hex() == reference_t0(norms, n, m, k).hex()
-                assert t0_term(pair, k).hex() == t0.hex()
+                assert t0.hex() == table.term(k, 0).hex() == t0_term(pair, k).hex()
+                assert abs(t0 - reference_t0(norms, n, m, k)) <= 1e-13 * reference_t0_scale(
+                    norms, n, m, k
+                )
                 want = [reference_tr(table.hats, n, m, k, r) for r in range(1, len(tr) + 1)]
                 assert [v.hex() for v in tr] == [v.hex() for v in want]
 
@@ -782,6 +800,43 @@ class TestExactFamily:
             f = rotated(basis_tensor(d, (0,) * n), q).scaled(a)
             g = rotated(basis_tensor(d, (1,) * m), q).scaled(b)
             self._check(MalliavinPair(f, g), (a * b) ** 2)
+
+    # the dense table needed 923 MB at (6, 6, 6) and refused (4, 8, 8) (a 4^14
+    # double C_1); the orbit table holds N(d, n-r) x N(d, m-r) values per r
+    @pytest.mark.parametrize("d, n, m", [(6, 6, 6), (4, 8, 8)])
+    def test_reach_beyond_the_dense_table(self, d, n, m):
+        rng = np.random.default_rng([d, n, m])
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        f, g = basis_tensor(d, (0,) * n), basis_tensor(d, (1,) * m)
+        turned = MalliavinPair(rotated(f, q).scaled(0.5), rotated(g, q).scaled(1.5))
+        tracemalloc.start()
+        try:
+            self._check(MalliavinPair(f, g), 1.0)
+            self._check(turned, 0.75**2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+
+class TestTableSizeCap:
+    def test_refuses_an_oversized_plan_before_building_it(self, monkeypatch):
+        # at (6, 6, 6) the r = 1, s = 1 swap plan holds 6^2 * 126^2 indices
+        # (4.57 MB); the pair and its orbit grid are built under the real cap
+        pair = random_pair(6, 6, 6, 5)
+        malliavin._swap_plan.cache_clear()
+        monkeypatch.setattr(tensor, "MAX_ARRAY_BYTES", 2**21)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^contraction table: dim 6 and orders "
+                                                 r"\(6, 6\) need 4572288 bytes, above "
+                                                 r"the cap of 2097152 bytes$"):
+                expected_dets(pair)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**21
+        assert malliavin._swap_plan.cache_info().currsize == 0
 
 
 class TestOracleSizeCap:

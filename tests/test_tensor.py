@@ -35,6 +35,15 @@ class TestTensorBasics:
         with pytest.raises(ValueError):
             Tensor(2, -1, np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_coefficients(self, bad):
+        with pytest.raises(ValueError, match="^order 1 tensor has non-finite coefficients$"):
+            Tensor(2, 1, [bad, 1.0])
+        with pytest.raises(ValueError, match="^order 0 tensor has non-finite"):
+            Tensor.scalar(2, bad)
+        with pytest.raises(ValueError, match="^order 3 tensor has non-finite"):
+            Tensor(2, 3, np.full((2,) * 3, bad), symmetric=True)
+
     def test_order_zero_is_scalar(self):
         t = Tensor.scalar(3, 2.5)
         assert t.item() == 2.5
