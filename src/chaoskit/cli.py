@@ -12,6 +12,7 @@ only where the subcommand has the option, and a subcommand without
 trial failed or a density report is inconsistent, 2 invalid
 configuration or input file.  Reports are JSON by default, CSV on
 request; every randomized run records the seeds needed to replay it.
+``chaoskit --version`` prints ``chaoskit <version>`` and exits 0.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from io import StringIO
 
 import numpy as np
 
+from . import __version__
 from . import io as kio
 from . import malliavin as mal
 from .mc import _SEED_BOUND, DEFAULT_SAMPLES, Estimate, estimate_expected_det
@@ -115,6 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "of a pair of multiple integrals, and run Monte Carlo estimates."
         ),
     )
+    parser.add_argument("--version", action="version", version=f"chaoskit {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("verify", help="run randomized invariant suites")

@@ -2,9 +2,20 @@
 
 The components f and g are written and read by a private codec.  A
 component lists only its nonzero entries, in row-major order; unlisted
-coefficients are zero and listed ones must be finite.  A component
-stored with "symmetric": true is verified on load and rejected if the
-coefficients are not actually symmetric.  One whose dense array would
+coefficients are zero and listed ones must be finite.  It has one of
+two layouts:
+
+* full (no "layout" key): every nonzero entry.  A component stored
+  with "symmetric": true is verified on load and rejected if the
+  coefficients are not actually symmetric.
+* "layout": "orbits": one entry per permutation orbit, at its
+  non-decreasing representative index, filled over the whole orbit on
+  load; only a component flagged symmetric may use it.  The writer
+  picks it for a symmetric component of order >= 2 whose every entry
+  is bit-equal to its orbit representative's, so a save and a load
+  give back the same bits in either layout.
+
+One whose dense array, or for the orbit layout whose orbit grid, would
 exceed ``tensor.MAX_ARRAY_BYTES`` is refused before anything is
 allocated.
 """
@@ -20,7 +31,13 @@ from typing import Optional, Union
 import numpy as np
 
 from .malliavin import MalliavinPair
-from .tensor import Tensor, _require_array_size, is_symmetric
+from .tensor import (
+    Tensor,
+    _require_array_size,
+    _require_orbit_grid,
+    is_symmetric,
+    orbit_info,
+)
 
 __all__ = [
     "SchemaError",
@@ -57,19 +74,47 @@ def _require(obj: dict, key: str, kind, where: str):
 # -- pair components ----------------------------------------------------------
 
 
+def _row_major(dim: int, order: int) -> np.ndarray:
+    """Weights taking an (N, order) index array to flat row-major positions."""
+    return dim ** np.arange(order - 1, -1, -1)
+
+
+def _orbit_entries(t: Tensor):
+    """The representative indices and values of t's orbits in row-major
+    order, when t is written by orbit: flagged symmetric, of order >= 2,
+    every entry bit-equal to its orbit representative's, and its orbit
+    grid within the cap.  None otherwise."""
+    if not t.symmetric or t.order < 2:
+        return None
+    try:
+        _require_orbit_grid(t.dim, t.order)
+    except ValueError:
+        return None
+    info = orbit_info(t.dim, t.order)
+    flat = t.coeffs.ravel()
+    pos = info.reps @ _row_major(t.dim, t.order)
+    if not np.array_equal(flat.view(np.int64), flat[pos][info.inverse].view(np.int64)):
+        return None
+    first = np.argsort(pos)
+    return info.reps[first], flat[pos[first]]
+
+
 def _tensor_to_dict(t: Tensor) -> dict:
     """A pair component (order >= 1, as MalliavinPair requires)."""
-    nz = np.nonzero(t.coeffs)  # row-major order
-    entries = [
-        {"index": index, "value": value}
-        for index, value in zip(np.transpose(nz).tolist(), t.coeffs[nz].tolist())
+    doc = {"dim": t.dim, "order": t.order, "symmetric": bool(t.symmetric)}
+    by_orbit = _orbit_entries(t)
+    if by_orbit is None:
+        nz = np.nonzero(t.coeffs)  # row-major order
+        index, values = np.transpose(nz), t.coeffs[nz]
+    else:
+        doc["layout"] = "orbits"
+        index, values = by_orbit
+        keep = values != 0
+        index, values = index[keep], values[keep]
+    doc["entries"] = [
+        {"index": i, "value": v} for i, v in zip(index.tolist(), values.tolist())
     ]
-    return {
-        "dim": t.dim,
-        "order": t.order,
-        "symmetric": bool(t.symmetric),
-        "entries": entries,
-    }
+    return doc
 
 
 def _all_of(items, kind) -> bool:
@@ -125,15 +170,41 @@ def _tensor_from_dict(obj: dict) -> Tensor:
     entries = _require(obj, "entries", list, "tensor")
     if dim < 1 or order < 0:
         raise SchemaError(f"tensor: invalid dim {dim} or order {order}")
+    by_orbit = "layout" in obj  # no key: the full layout
+    if by_orbit and obj["layout"] != "orbits":
+        raise SchemaError(f"tensor: unknown layout {obj['layout']!r}, expected 'orbits'")
+    if by_orbit and not flagged:
+        raise SchemaError("tensor: layout 'orbits' requires \"symmetric\": true")
     _require_array_size("tensor", dim, order, SchemaError)
+    if by_orbit:
+        _require_orbit_grid(dim, order, SchemaError)
     index, values = _entry_arrays(entries, dim, order)
-    coeffs = np.zeros(dim**order)
-    # row-major positions; a repeated index keeps its last value in file order
-    coeffs[index @ (dim ** np.arange(order - 1, -1, -1))] = values
+    pos = index @ _row_major(dim, order)
+    # a repeated index keeps its last value in file order
+    if by_orbit:
+        _require_representatives(index)
+        info = orbit_info(dim, order)
+        orbit_values = np.zeros(len(info.counts))
+        orbit_values[info.inverse[pos]] = values
+        coeffs = orbit_values[info.inverse]
+    else:
+        coeffs = np.zeros(dim**order)
+        coeffs[pos] = values
     t = Tensor(dim, order, coeffs.reshape((dim,) * order), symmetric=flagged)
-    if flagged and not is_symmetric(t):
+    if flagged and not by_orbit and not is_symmetric(t):
         raise SchemaError("tensor: flagged symmetric but coefficients are not")
     return t
+
+
+def _require_representatives(index: np.ndarray) -> None:
+    """Every row of index is non-decreasing, the representative of its orbit."""
+    ok = (np.diff(index, axis=1) >= 0).all(axis=1)
+    if not ok.all():
+        pos = int(np.argmin(ok))
+        raise SchemaError(
+            f"tensor entry {pos}: index {index[pos].tolist()} is not the "
+            "non-decreasing representative of its orbit (layout 'orbits')"
+        )
 
 
 # -- pairs --------------------------------------------------------------------

@@ -131,9 +131,12 @@ class MalliavinPair:
 
 
 def random_pair(dim: int, n: int, m: int, seed: int) -> MalliavinPair:
-    """Pair with independent random symmetric components, reproducible by seed."""
-    ss = np.random.SeedSequence(seed)
-    sf, sg = ss.spawn(2)
+    """Pair with independent random symmetric components, reproducible by seed.
+
+    f and g are drawn from the first two children of SeedSequence(seed),
+    the seeds that SeedSequence(seed).spawn(2) gives.
+    """
+    sf, sg = (np.random.SeedSequence(seed, spawn_key=(i,)) for i in (0, 1))
     return MalliavinPair(random_symmetric(dim, n, sf), random_symmetric(dim, m, sg))
 
 

@@ -63,6 +63,12 @@ def _require_array_size(
     _require_bytes(f"{what}: dim {dim} and order {order}", entry_bytes * dim**order, error)
 
 
+def _require_orbit_grid(dim: int, order: int, error=ValueError) -> None:
+    """Refuse the index grid of orbit_info(dim, order), order int64 indices
+    for each of its dim**order rows, above MAX_ARRAY_BYTES."""
+    _require_array_size("orbit grid", dim, order, error, entry_bytes=8 * order)
+
+
 def _require_bytes(what: str, nbytes: int, error=ValueError) -> None:
     """Refuse an array of nbytes bytes above MAX_ARRAY_BYTES; what names it."""
     if nbytes > MAX_ARRAY_BYTES:
@@ -190,8 +196,7 @@ def orbit_info(dim: int, order: int) -> OrbitInfo:
             reps=np.zeros((1, 0), dtype=np.int64),
             multiplicities=np.zeros((1, dim), dtype=np.int64),
         )
-    # each of the d**n grid rows holds order int64 indices
-    _require_array_size("orbit grid", dim, order, entry_bytes=8 * order)
+    _require_orbit_grid(dim, order)
     grid = np.indices((dim,) * order).reshape(order, -1).T  # (d**n, n), C order
     key = np.sort(grid, axis=1)
     powers = dim ** np.arange(order, dtype=np.int64)
@@ -377,4 +382,4 @@ def random_symmetric(dim: int, order: int, seed) -> Tensor:
     _require_array_size("random tensor", dim, order)
     rng = np.random.default_rng(seed)
     arr = np.asarray(rng.standard_normal((dim,) * order))
-    return symmetrize(Tensor(dim, order, arr))
+    return Tensor(dim, order, _orbit_average(arr, dim, order), symmetric=True)

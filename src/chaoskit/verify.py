@@ -380,6 +380,32 @@ def check_anchor_values(cfg: VerifyConfig, rec: _Recorder):
     return 1
 
 
+def _rank_one(c: float, u: np.ndarray, n: int) -> Tensor:
+    """c u^n, symmetrized so that it is exactly symmetric in floating point."""
+    return symmetrize(Tensor(len(u), n, c * functools.reduce(np.multiply.outer, [u] * n)))
+
+
+@_check("malliavin")
+def check_orthogonal_rank_one(cfg: VerifyConfig, rec: _Recorder):
+    """For orthonormal u, v, D^k I_n(a u^n) and D^k I_m(b v^m) are orthogonal,
+    so E det^(k) = a^2 b^2 n!^2 m!^2 / ((n-k)! (m-k)!) at every k."""
+    for i in range(cfg.trials):
+        seed, rng, d, n, m = _draw(cfg, 28, i, (1, cfg.max_order), (1, cfg.max_order))
+        # u, v: the Q of a Gaussian d x 2 matrix's QR, by Gram-Schmidt
+        x, y = rng.standard_normal((2, d))
+        u = x / np.linalg.norm(x)
+        v = y - (u @ y) * u
+        v /= np.linalg.norm(v)
+        a, b = rng.uniform(0.5, 2.0, 2)
+        pair = mal.MalliavinPair(_rank_one(a, u, n), _rank_one(b, v, m))
+        for k, got in enumerate(mal.expected_dets(pair), start=1):
+            want = (a * b) ** 2 * (
+                math.factorial(n) ** 2 * math.factorial(m) ** 2
+                / (math.factorial(n - k) * math.factorial(m - k))
+            )
+            rec.add(_rel_err(got, want), f"d={d} n={n} m={m} k={k} seed={seed}")
+
+
 @_check("malliavin", tol=1e-8)
 def check_closed_vs_symbolic(cfg: VerifyConfig, rec: _Recorder):
     """Closed form against the chaos-arithmetic oracle at every valid k."""

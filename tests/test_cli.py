@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+import chaoskit
 from chaoskit import cli
 from chaoskit.cli import main
 from chaoskit.io import load_pair
@@ -520,6 +521,13 @@ class TestVerify:
         monkeypatch.setenv("CHAOSKIT_SEED", "abc")
         code, _, _ = run(capsys, "verify", "--suite", "tensor", "--trials", "2")
         assert code == 2
+
+
+def test_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"chaoskit {chaoskit.__version__}\n"
 
 
 class TestOptions:

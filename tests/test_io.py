@@ -3,13 +3,15 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from chaoskit import cli
+from chaoskit import cli, tensor
 from chaoskit.io import (
     SchemaError,
     load_pair,
@@ -19,7 +21,7 @@ from chaoskit.io import (
 )
 from chaoskit.io import _tensor_from_dict as tensor_from_dict
 from chaoskit.io import _tensor_to_dict as tensor_to_dict
-from chaoskit.malliavin import expected_det_closed_form, random_pair
+from chaoskit.malliavin import MalliavinPair, expected_det_closed_form, random_pair
 from chaoskit.mc import Estimate
 from chaoskit.tensor import (
     Tensor,
@@ -132,7 +134,10 @@ class TestPairFormat:
         pair = random_pair(2, 2, 2, 9)
         doc = pair_to_dict(pair)
         doc["f"]["symmetric"] = False
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match="layout 'orbits' requires"):
+            pair_from_dict(doc)
+        del doc["f"]["layout"]  # the full layout loads, and the pair refuses it
+        with pytest.raises(SchemaError, match="^pair: components must be symmetric tensors$"):
             pair_from_dict(doc)
 
     def test_not_json(self, tmp_path):
@@ -249,6 +254,22 @@ def reference_tensor_to_dict(t):
     }
 
 
+def reference_orbit_to_dict(t):
+    """The orbit layout of an exactly symmetric t: the nonzero value of each
+    orbit at its non-decreasing index, in row-major order."""
+    entries = []
+    for idx in itertools.combinations_with_replacement(range(t.dim), t.order):
+        if t.coeffs[idx] != 0.0:
+            entries.append({"index": list(idx), "value": float(t.coeffs[idx])})
+    return {
+        "dim": t.dim,
+        "order": t.order,
+        "symmetric": True,
+        "layout": "orbits",
+        "entries": entries,
+    }
+
+
 def outcome(load, doc):
     """What loading doc gives: the tensor's flag and coefficient bytes, or the error."""
     try:
@@ -351,12 +372,15 @@ class TestBulkEntries:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_write_and_read_match_the_reference(self, dim):
+        # a drawn component is exactly symmetric, so from order 2 on it is
+        # written by orbit; it reads back as the full layout's reference gave it
         for order in range(1, 7):  # pair components have order >= 1
             t = random_symmetric(dim, order, 100 * dim + order)
             doc = tensor_to_dict(t)
-            ref = reference_tensor_to_dict(t)
+            full = reference_tensor_to_dict(t)
+            ref = full if order == 1 else reference_orbit_to_dict(t)
             assert json.dumps(doc, indent=2) == json.dumps(ref, indent=2)
-            assert outcome(tensor_from_dict, doc) == outcome(reference_tensor_from_dict, ref)
+            assert outcome(tensor_from_dict, doc) == outcome(reference_tensor_from_dict, full)
         sparse = Tensor(dim, 2, np.where(np.eye(dim) > 0, -0.0, 1.0) * 2.0)
         assert tensor_to_dict(sparse) == reference_tensor_to_dict(sparse)
 
@@ -371,10 +395,11 @@ class TestBulkEntries:
                 assert main(["gen", "--dim", str(dim), "--order", str(order),
                              "--seed", str(seed), "-o", str(path)]) == 0
             pair = load_pair(path)
+            writer = reference_tensor_to_dict if order == 1 else reference_orbit_to_dict
             expected = {
                 "dim": dim, "n": order, "m": order,
-                "f": reference_tensor_to_dict(pair.f),
-                "g": reference_tensor_to_dict(pair.g),
+                "f": writer(pair.f),
+                "g": writer(pair.g),
                 "seed": seed,
             }
             assert path.read_text() == json.dumps(expected, indent=2) + "\n"
@@ -396,3 +421,156 @@ class TestBulkEntries:
                 doc = _doc(entries, dim, order, symmetric)
                 assert outcome(tensor_from_dict, doc) == \
                     outcome(reference_tensor_from_dict, doc), (trial, doc)
+
+
+# -- the orbit layout -----------------------------------------------------------
+
+
+def _gen(tmp_path, name, *args):
+    path = tmp_path / f"{name}.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["gen", *args, "-o", str(path)]) == 0
+    return path
+
+
+def _full_layout(t):
+    """t written and read back in the full layout by the reference codec."""
+    return reference_tensor_from_dict(json.loads(json.dumps(reference_tensor_to_dict(t))))
+
+
+def _density(capsys, doc, tmp_path):
+    """(exit code, stderr) of `chaoskit density` on the pair document doc."""
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["density", "--pair", str(path), "-o", str(tmp_path / "out.json")])
+    return code, capsys.readouterr().err
+
+
+class TestOrbitLayout:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_gen_loads_as_the_full_layout(self, dim, order, tmp_path):
+        # the draws of gen: f and g from SeedSequence([seed, 0]) and ([seed, 1]),
+        # or f from seed and g = C f with --proportional
+        seed, other = 10 * dim + order, 7 - order
+
+        def draw(o, i):
+            return random_symmetric(dim, o, np.random.SeedSequence([seed, i]))
+
+        f = random_symmetric(dim, order, seed)
+        cases = {
+            "equal": ([], draw(order, 0), draw(order, 1)),
+            "unequal": (["--order-g", str(other)], draw(order, 0), draw(other, 1)),
+            "proportional": (["--proportional", "2.5"], f, f.scaled(2.5)),
+        }
+        for name, (extra, *want) in cases.items():
+            path = _gen(tmp_path, name, "--dim", str(dim), "--order", str(order),
+                        "--seed", str(seed), *extra)
+            doc = json.loads(path.read_text())
+            pair = load_pair(path)
+            for key, got, t in zip("fg", (pair.f, pair.g), want):
+                assert ("layout" in doc[key]) == (t.order >= 2), (name, key)
+                assert got.symmetric
+                assert got.coeffs.tobytes() == _full_layout(t).coeffs.tobytes(), (name, key)
+
+    def test_reports_match_the_full_layout_file(self, tmp_path, capsys):
+        path = _gen(tmp_path, "orbits", "--dim", "3", "--order", "4", "--seed", "5")
+        doc = json.loads(path.read_text())
+        pair = load_pair(path)
+        full = dict(doc, f=reference_tensor_to_dict(pair.f), g=reference_tensor_to_dict(pair.g))
+        full_path = tmp_path / "full.json"
+        full_path.write_text(json.dumps(full, indent=2) + "\n")
+        assert len(path.read_bytes()) < len(full_path.read_bytes()) / 2
+        reports = []
+        for p in (path, full_path):
+            for cmd in (["density"], ["edet", "--k", "all"]):
+                assert cli.main([*cmd, "--pair", str(p)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
+    def test_near_symmetric_component_keeps_the_full_layout(self, tmp_path):
+        # symmetric within is_symmetric's tolerance but not bit for bit: an
+        # orbit would lose the odd entry, so the full layout is written
+        coeffs = random_symmetric(3, 3, 1).coeffs.copy()
+        coeffs[0, 1, 2] = np.nextafter(coeffs[0, 1, 2], np.inf)
+        t = Tensor(3, 3, coeffs, symmetric=True)
+        assert is_symmetric(t)
+        assert tensor_to_dict(t) == reference_tensor_to_dict(t)
+        path = tmp_path / "pair.json"
+        save_pair(MalliavinPair(t, random_symmetric(3, 2, 2)), path)
+        back = load_pair(path)
+        assert back.f.coeffs.tobytes() == coeffs.tobytes()
+        assert "layout" not in json.loads(path.read_text())["f"]
+
+    def test_asymmetric_full_layout_still_refused(self, tmp_path, capsys):
+        doc = pair_to_dict(random_pair(2, 2, 2, 3))
+        doc["f"] = _doc([{"index": [0, 1], "value": 1.0}], dim=2, symmetric=True)
+        code, err = _density(capsys, doc, tmp_path)
+        assert code == 2
+        assert "tensor: flagged symmetric but coefficients are not" in err
+
+    def test_repeated_orbit_keeps_its_last_value(self):
+        doc = _doc([{"index": [0, 1], "value": 1.0}, {"index": [0, 1], "value": 3.0}],
+                   dim=2, symmetric=True)
+        doc["layout"] = "orbits"
+        np.testing.assert_array_equal(tensor_from_dict(doc).coeffs, [[0, 3], [3, 0]])
+
+    # (edit of the f component of a gen file, expected message)
+    REFUSALS = {
+        "non-representative index": (
+            lambda f: f["entries"][3].update(index=[2, 1, 0, 0]),
+            r"tensor entry 3: index \[2, 1, 0, 0\] is not the non-decreasing "
+            r"representative of its orbit \(layout 'orbits'\)"),
+        "not flagged symmetric": (
+            lambda f: f.update(symmetric=False),
+            "tensor: layout 'orbits' requires \"symmetric\": true"),
+        "unknown layout": (
+            lambda f: f.update(layout="triangle"),
+            "tensor: unknown layout 'triangle', expected 'orbits'"),
+        "non-string layout": (
+            lambda f: f.update(layout=["orbits"]),
+            r"tensor: unknown layout \['orbits'\], expected 'orbits'"),
+        "null layout": (
+            lambda f: f.update(layout=None),
+            "tensor: unknown layout None, expected 'orbits'"),
+        "non-finite value": (
+            lambda f: f["entries"][2].update(value=float("nan")),
+            r"tensor entry 2: value nan at index \[\d, \d, \d, \d\] is not finite"),
+        "index out of range": (
+            lambda f: f["entries"][5].update(index=[0, 0, 0, 3]),
+            r"tensor entry 5: index \[0, 0, 0, 3\] out of range for dim 3"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(REFUSALS))
+    def test_refusal_exits_2_naming_the_entry(self, kind, tmp_path, capsys):
+        path = _gen(tmp_path, "pair", "--dim", "3", "--order", "4", "--seed", "2")
+        doc = json.loads(path.read_text())
+        assert doc["f"]["layout"] == "orbits"
+        edit, message = self.REFUSALS[kind]
+        edit(doc["f"])
+        code, err = _density(capsys, doc, tmp_path)
+        assert code == 2
+        assert re.search(r"^chaoskit density: error: " + message, err), err
+
+    def test_oversized_orbit_grid_refused_before_it_is_built(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # 2^26 doubles fit the cap, their 26 x 2^26 int64 orbit grid does not
+        f = {"dim": 2, "order": 26, "symmetric": True, "layout": "orbits", "entries": []}
+        doc = {"dim": 2, "n": 26, "m": 26, "f": f, "g": f}
+        built = []
+        monkeypatch.setattr("chaoskit.io.orbit_info", lambda *a: built.append(a))
+        code, err = _density(capsys, doc, tmp_path)
+        assert code == 2 and not built
+        assert err == (
+            "chaoskit density: error: orbit grid: dim 2 and order 26 need "
+            f"{8 * 26 * 2**26} bytes, above the cap of 1073741824 bytes\n")
+
+    def test_writer_keeps_the_full_layout_above_the_grid_cap(self, monkeypatch):
+        # at d = 4, n = 6 the tensor is 32768 bytes and its orbit grid 196608
+        t = random_symmetric(4, 6, 1)
+        monkeypatch.setattr(tensor, "MAX_ARRAY_BYTES", 100_000)
+        doc = tensor_to_dict(t)
+        assert doc == reference_tensor_to_dict(t)
+        assert tensor_from_dict(doc).coeffs.tobytes() == t.coeffs.tobytes()
+        doc = tensor_to_dict(random_symmetric(4, 5, 1))  # 40960 bytes of grid
+        assert doc["layout"] == "orbits"

@@ -126,6 +126,47 @@ class TestPairValidation:
         assert np.array_equal(a.g.coeffs, b.g.coeffs)
 
 
+# -- the random draws against the bodies they replaced ---------------------------
+
+
+def reference_random_symmetric(dim, order, seed):
+    """random_symmetric before it built one Tensor per draw, the bit-for-bit
+    reference."""
+    rng = np.random.default_rng(seed)
+    arr = np.asarray(rng.standard_normal((dim,) * order))
+    return symmetrize(Tensor(dim, order, arr))
+
+
+def reference_random_pair(dim, n, m, seed):
+    """random_pair before it built its two child seeds directly."""
+    sf, sg = np.random.SeedSequence(seed).spawn(2)
+    return MalliavinPair(
+        reference_random_symmetric(dim, n, sf), reference_random_symmetric(dim, m, sg)
+    )
+
+
+class TestRandomDrawReference:
+    SEEDS = [0, 1, 12345, 2**63 - 1, 2**128 - 1]
+
+    @pytest.mark.parametrize("dim", range(1, 5))
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_symmetric_bit_identical(self, dim, seed):
+        for order in range(0, 7):
+            got = random_symmetric(dim, order, seed)
+            ref = reference_random_symmetric(dim, order, seed)
+            assert got.symmetric and ref.symmetric
+            assert got.coeffs.shape == ref.coeffs.shape
+            assert got.coeffs.tobytes() == ref.coeffs.tobytes()
+
+    @pytest.mark.parametrize("dim", range(1, 5))
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_pair_bit_identical(self, dim, seed):
+        for n, m in [(1, 1), (2, 3), (4, 4), (6, 2), (5, 6)]:
+            got, ref = random_pair(dim, n, m, seed), reference_random_pair(dim, n, m, seed)
+            assert got.f.coeffs.tobytes() == ref.f.coeffs.tobytes()
+            assert got.g.coeffs.tobytes() == ref.g.coeffs.tobytes()
+
+
 class TestGramChaos:
     def test_first_derivative_energy(self):
         # E ||D I_n(f)||^2 = n * E F^2 = n * n! * ||f||^2

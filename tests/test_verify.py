@@ -4,6 +4,7 @@ controls."""
 
 import inspect
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -60,6 +61,7 @@ class TestOneTablePerPair:
     @pytest.mark.parametrize(
         "check, per_instance",
         [
+            (verify.check_orthogonal_rank_one, 1),
             (verify.check_closed_vs_symbolic, 1),
             (verify.check_direct_term_agreement, 1),
             (verify.check_top_term_formula, 1),
@@ -75,10 +77,10 @@ class TestOneTablePerPair:
         assert table_count[0] == per_instance * cfg.trials
 
     def test_malliavin_suite(self, table_count):
-        # 3 for the anchor's three public calls, 7 pairs per trial in all
+        # 3 for the anchor's three public calls, 8 pairs per trial in all
         cfg = VerifyConfig(seed=2024, trials=4)
         assert all(r.passed for r in verify.run_suites(cfg, ["malliavin"]))
-        assert table_count[0] == 3 + 7 * cfg.trials
+        assert table_count[0] == 3 + 8 * cfg.trials
 
 
 # seeds that failed the sample-stderr bands: VerifyConfig seeds in [0, 5000)
@@ -181,7 +183,7 @@ class TestRunSuites:
         # a check is named after its function, less the suite prefix of mc's
         order = [(suite, c.__name__.removeprefix("check_").removeprefix(f"{suite}_"))
                  for suite, checks in verify.SUITES.items() for c in checks]
-        assert len(order) == 23
+        assert len(order) == 24
         assert [(r.suite, r.check) for r in results] == order
         assert all(r.passed for r in results)
 
@@ -245,6 +247,8 @@ BREAKS = {
         verify, "symmetrize", lambda t: t.scaled(1.5)),
     verify.check_anchor_values: lambda: _broken(
         mal, "expected_det_closed_form", lambda b: replace(b, t0=2 * b.t0)),
+    verify.check_orthogonal_rank_one: lambda: _broken(
+        mal, "expected_dets", lambda dets: tuple(v * (1 + 1e-6) for v in dets)),
     verify.check_closed_vs_symbolic: lambda: _broken(
         mal, "expected_dets", lambda dets: tuple(v * (1 + 1e-6) for v in dets)),
     verify.check_sum_of_squares_pointwise: lambda: _broken(
@@ -289,5 +293,29 @@ def test_every_check_function_is_registered_in_one_suite():
     defined = [f for name, f in vars(verify).items()
                if name.startswith("check_") and inspect.isfunction(f)]
     registered = [c for checks in verify.SUITES.values() for c in checks]
-    assert len(defined) == len(registered) == 23
+    assert len(defined) == len(registered) == 24
     assert sorted(map(id, defined)) == sorted(map(id, registered))
+
+
+class TestOrthogonalRankOne:
+    def test_exact_to_rounding(self):
+        for seed in (7, 11, 2024):
+            res = verify.check_orthogonal_rank_one(VerifyConfig(seed=seed, max_order=6))
+            assert res.passed and res.observed < 1e-13
+
+    def test_detects_one_missing_factorial(self, monkeypatch):
+        # E det^(k) read with (n-k)!^2 in place of (n-k)! (m-k)!: wrong only
+        # where n != m, so the failures name unequal orders alone
+        real = mal.expected_dets
+
+        def broken(pair):
+            n, m = pair.n, pair.m
+            return tuple(v * math.factorial(m - k) / math.factorial(n - k)
+                         for k, v in enumerate(real(pair), start=1))
+
+        monkeypatch.setattr(mal, "expected_dets", broken)
+        res = verify.check_orthogonal_rank_one(VerifyConfig(seed=7))
+        assert not res.passed
+        for failure in res.failures:
+            n, m = (int(x) for x in re.search(r"n=(\d+) m=(\d+)", failure).groups())
+            assert n != m
