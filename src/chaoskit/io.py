@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
 from pathlib import Path
 from typing import Optional, Union
 
@@ -92,7 +91,7 @@ def _orbit_entries(t: Tensor):
         return None
     info = orbit_info(t.dim, t.order)
     flat = t.coeffs.ravel()
-    pos = info.reps @ _row_major(t.dim, t.order)
+    pos = info.positions
     if not np.array_equal(flat.view(np.int64), flat[pos][info.inverse].view(np.int64)):
         return None
     first = np.argsort(pos)
@@ -117,34 +116,10 @@ def _tensor_to_dict(t: Tensor) -> dict:
     return doc
 
 
-def _all_of(items, kind) -> bool:
-    """Every item is a kind (a bool is never an int), checked once per type seen."""
-    return all(
-        issubclass(t, kind) and not issubclass(t, bool) for t in set(map(type, items))
-    )
-
-
 def _entry_arrays(entries: list, dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (N, order) indices and N values of the entries, checked in bulk.
-
-    Anything the bulk checks refuse is looked up entry by entry, so the
-    SchemaError names the first malformed entry in file order.
-    """
-    try:
-        if _all_of(entries, dict):
-            raw_index = [e["index"] for e in entries]
-            raw_value = [e["value"] for e in entries]
-            if (
-                _all_of(raw_index, list)
-                and _all_of(chain.from_iterable(raw_index), int)
-                and _all_of(raw_value, (int, float))
-            ):
-                index = np.array(raw_index, dtype=np.int64).reshape(len(entries), order)
-                values = np.array(raw_value, dtype=np.float64)
-                if np.isfinite(values).all() and ((index >= 0) & (index < dim)).all():
-                    return index, values
-    except (KeyError, ValueError, OverflowError):  # missing key, ragged, huge number
-        pass
+    """The (N, order) indices and N values of the entries, checked one by one,
+    so a SchemaError names the first malformed entry in file order."""
+    indices, values = [], []
     for pos, entry in enumerate(entries):
         where = f"tensor entry {pos}"
         if not isinstance(entry, dict):
@@ -158,7 +133,9 @@ def _entry_arrays(entries: list, dim: int, order: int) -> tuple[np.ndarray, np.n
         for j in index:
             if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < dim:
                 raise SchemaError(f"{where}: index {index} out of range for dim {dim}")
-    raise AssertionError("bulk entry checks refused entries that each pass")
+        indices.append(index)
+        values.append(value)
+    return np.array(indices, dtype=np.int64).reshape(len(entries), order), np.array(values)
 
 
 def _tensor_from_dict(obj: dict) -> Tensor:

@@ -152,23 +152,16 @@ def _check_k(pair: MalliavinPair, k: int) -> None:
 def _alpha(n: int, m: int, k: int, r: int) -> int:
     # scales the squared-minor form of T_r:
     # (n! m! / ((n-k-r)! (m-k-r)! r!))^2 * (n+m-2k-2r)!
-    q = math.perm(n, k + r) * math.perm(m, k + r)
-    fr = math.factorial(r)
-    if q % fr:
-        raise ArithmeticError("coefficient is not an integer; invalid arguments")
-    return (q // fr) ** 2 * checked_factorial(n + m - 2 * k - 2 * r)
+    # perm(n, j) = C(n, j) j! is divisible by r! for r <= j, so the quotient is exact
+    q = math.perm(n, k + r) * math.perm(m, k + r) // math.factorial(r)
+    return q**2 * checked_factorial(n + m - 2 * k - 2 * r)
 
 
 def _beta(n: int, m: int, k: int, r: int) -> int:
-    # scales the hat-contraction form of T_r: n!^2 m!^2 / ((n-k-r)! (m-k-r)! (r!)^2)
+    # scales the hat-contraction form of T_r: n!^2 m!^2 / ((n-k-r)! (m-k-r)! (r!)^2),
+    # an integer: it is n! m! perm(n, k+r) perm(m, k+r) / r!^2
     num = math.factorial(n) ** 2 * math.factorial(m) ** 2
-    den = (
-        math.factorial(n - k - r)
-        * math.factorial(m - k - r)
-        * math.factorial(r) ** 2
-    )
-    if num % den:
-        raise ArithmeticError("coefficient is not an integer; invalid arguments")
+    den = math.factorial(n - k - r) * math.factorial(m - k - r) * math.factorial(r) ** 2
     return num // den
 
 
@@ -272,25 +265,14 @@ def _orbit_count(dim: int, order: int) -> int:
     return math.comb(dim + order - 1, order)
 
 
-def _rep_positions(dim: int, order: int) -> np.ndarray:
-    """Flat position in a dense (dim,) * order array of each orbit representative."""
-    return orbit_info(dim, order).reps @ dim ** np.arange(order - 1, -1, -1)
-
-
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _merge(dim: int, p: int, q: int) -> np.ndarray:
     """(N(p), N(q)) orbit ids in orbit_info(dim, p + q) of the multisets a + b,
     a and b the representatives of orders p and q: the inverse map read at
-    the flat position of the concatenated representatives."""
-    a, b = (_rep_positions(dim, o) for o in (p, q))
+    the flat position of the concatenated representatives.  So F[a, b] =
+    f[a + b] is the orbit vector of f read at _merge(dim, p, q)."""
+    a, b = (orbit_info(dim, o).positions for o in (p, q))
     return orbit_info(dim, p + q).inverse[a[:, None] * dim**q + b]
-
-
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _gather(dim: int, p: int, r: int) -> np.ndarray:
-    """Flat positions in a dense order-(p + r) symmetric tensor f of
-    F[a, c] = f[a + c], read at the representative of a + c, over the
-    representatives a of order p and c of order r."""
-    return _rep_positions(dim, p + r)[_merge(dim, p, r)]
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -317,30 +299,32 @@ class ContractionTable:
     swapped.  C_r is symmetric within its f block and within its g block,
     so it is held as the N(d, n-r) x N(d, m-r) matrix of its orbit values,
     where N(d, q) = C(d+q-1, q): C_r = (F_r * M_r) @ G_r^T, with
-    F_r[a, c] = f[a + c] over the multisets a of size n-r and c of size r
-    and M_r the orbit sizes of the c.  Every hat is then a sum over orbits
-    weighted by orbit sizes: ||C_r||^2 = w_a @ (C_r * C_r) @ w_b, and for
-    s >= 1 one weighted dot of two gathers of C_r (see _swap_plan).
-    hats[(r, s)] = hats[(s, r)] (the swap identity) is read off the
-    smaller contraction, so the r = 0 row is the norms ||C_s||^2, with
-    ||C_0||^2 = ||f||^2 ||g||^2 so the outer product is never built.  The
-    gathers depend only on the shapes and are cached.  Every array is
-    checked against MAX_ARRAY_BYTES before it is built, and none is larger
-    than the dense array it stands for (f, g, or the d^(n+m-2r) entries of
-    C_r).  A table lives for one call; nothing is stored on the pair.
+    F_r[a, c] = f[a + c] over the multisets a of size n-r and c of size r,
+    gathered from the orbit vector of f (its values at the
+    representatives, read once), and M_r the orbit sizes of the c.  Every
+    hat is then a sum over orbits weighted by orbit sizes: ||C_r||^2 =
+    w_a @ (C_r * C_r) @ w_b, and for s >= 1 one weighted dot of two
+    gathers of C_r (see _swap_plan).  hats[(r, s)] = hats[(s, r)] (the
+    swap identity) is read off the smaller contraction, so the r = 0 row
+    is the norms ||C_s||^2, with ||C_0||^2 = ||f||^2 ||g||^2 so the outer
+    product is never built.  The gather maps (_merge, _swap_plan) depend
+    only on the shapes and are cached.  Every array is checked against
+    MAX_ARRAY_BYTES before it is built, and none is larger than the dense
+    array it stands for (f, g, or the d^(n+m-2r) entries of C_r).  A table lives for one call; nothing is stored on the pair.
     """
 
     def __init__(self, pair: MalliavinPair):
         d, n, m = pair.dim, pair.n, pair.m
         self.n, self.m = n, m
         self.hats = hats = {(0, 0): inner(pair.f, pair.f) * inner(pair.g, pair.g)}
-        f, g = pair.f.coeffs.ravel(), pair.g.coeffs.ravel()
+        # each component's orbit vector: its value at every representative
+        f, g = (t.coeffs.ravel()[orbit_info(d, t.order).positions] for t in (pair.f, pair.g))
         what = f"contraction table: dim {d} and orders ({n}, {m})"
         for r in range(1, min(n, m) + 1):
             p, q = n - r, m - r
             np_, nq, nr = (_orbit_count(d, o) for o in (p, q, r))
             _require_bytes(what, 8 * max(max(np_, nq) * nr, np_ * nq))  # F_r, G_r, C_r
-            c = (f[_gather(d, p, r)] * orbit_info(d, r).counts) @ g[_gather(d, q, r)].T
+            c = (f[_merge(d, p, r)] * orbit_info(d, r).counts) @ g[_merge(d, q, r)].T
             hats[(r, 0)] = hats[(0, r)] = float(
                 orbit_info(d, p).counts @ (c * c) @ orbit_info(d, q).counts
             )
@@ -514,7 +498,7 @@ def _check_tol(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class InequalityResult:
-    """lhs >= rhs, and edet1 >= direct_bound for n <= 4; rhs = n^2 cov_det.
+    """lhs >= rhs, with rhs = n^2 cov_det and edet1 = E det^(1).
 
     degenerate means cov_det is at most the default zero threshold of
     :func:`density_check`, so rhs is rounding noise and lhs / rhs undefined.
@@ -524,8 +508,6 @@ class InequalityResult:
     rhs: float
     holds: bool
     edet1: float
-    direct_bound: Optional[float]
-    direct_holds: Optional[bool]
     cov_det: float
     degenerate: bool
 
@@ -536,10 +518,9 @@ def covariance_inequality(pair: MalliavinPair, tol_rel: float = 1e-9) -> Inequal
     lhs = sum_{s=2}^{floor((n-1)/2)} n(n-2s)/s!^2 * E det^(s)
           + (n-1)^2 * E det^(1),
     rhs = n^2 det C, and holds means lhs >= rhs - tol_rel * scale.
-    The sum is empty for n <= 4, where the bound reduces to
-    E det^(1) >= n^2 / (n-1)^2 det C (4, 9/4, 16/9), also checked at
-    tol_rel, which must be finite and > 0.  Every E det comes from one
-    table.
+    tol_rel must be finite and > 0.  The sum is empty for n <= 4, where
+    the bound is E det^(1) >= n^2 / (n-1)^2 det C (4, 9/4, 16/9).  Every
+    E det comes from one table.
     """
     n = _require_equal_orders(pair)
     if n < 2:
@@ -552,12 +533,8 @@ def covariance_inequality(pair: MalliavinPair, tol_rel: float = 1e-9) -> Inequal
         lhs += float(w) * dets[s - 1]
     c, zero = _covariance(pair)
     rhs = n**2 * c
-    bound = direct_holds = None
-    if n <= 4:
-        bound = n**2 / (n - 1) ** 2 * c
-        direct_holds = dets[0] >= bound - tol_rel * max(1.0, abs(dets[0]), abs(bound))
     holds = lhs >= rhs - tol_rel * max(1.0, abs(lhs), abs(rhs))
-    return InequalityResult(lhs, rhs, holds, dets[0], bound, direct_holds, c, c <= zero)
+    return InequalityResult(lhs, rhs, holds, dets[0], c, c <= zero)
 
 
 class Verdict(str, Enum):

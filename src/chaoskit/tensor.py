@@ -184,6 +184,7 @@ class OrbitInfo(NamedTuple):
     counts: np.ndarray  # orbit id -> orbit size, int64
     reps: np.ndarray  # orbit id -> sorted representative index, (n_orbits, order)
     multiplicities: np.ndarray  # orbit id -> per-axis index counts, (n_orbits, dim)
+    positions: np.ndarray  # orbit id -> flat row-major position of its rep, int64
 
 
 @lru_cache(maxsize=None)
@@ -195,12 +196,15 @@ def orbit_info(dim: int, order: int) -> OrbitInfo:
             counts=np.ones(1, dtype=np.int64),
             reps=np.zeros((1, 0), dtype=np.int64),
             multiplicities=np.zeros((1, dim), dtype=np.int64),
+            positions=np.zeros(1, dtype=np.int64),
         )
     _require_orbit_grid(dim, order)
     grid = np.indices((dim,) * order).reshape(order, -1).T  # (d**n, n), C order
     key = np.sort(grid, axis=1)
     powers = dim ** np.arange(order, dtype=np.int64)
     codes = key @ powers
+    # C order reaches each orbit first at its non-decreasing index, so the
+    # first occurrence is the representative's flat position
     _, first, inverse, counts = np.unique(
         codes, return_index=True, return_inverse=True, return_counts=True
     )
@@ -211,6 +215,7 @@ def orbit_info(dim: int, order: int) -> OrbitInfo:
         counts=counts.astype(np.int64),
         reps=reps.astype(np.int64),
         multiplicities=mult.astype(np.int64),
+        positions=first.astype(np.int64),
     )
 
 

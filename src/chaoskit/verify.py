@@ -67,7 +67,6 @@ class CheckResult:
     seed: int
     trials: int
     observed: float
-    expected: float
     tolerance: float
     passed: bool
     failed: int = 0
@@ -148,7 +147,6 @@ def _check(suite: str, tol: float | None = None):
                 seed=cfg.seed,
                 trials=cfg.trials if trials is None else trials,
                 observed=rec.worst,
-                expected=0.0,
                 tolerance=rec.tolerance,
                 passed=not rec.failures,
                 failed=len(rec.failures),
@@ -537,7 +535,8 @@ def check_degeneracy(cfg: VerifyConfig, rec: _Recorder):
 
 @_check("malliavin")
 def check_covariance_inequality(cfg: VerifyConfig, rec: _Recorder):
-    """The determinant inequality and its small-order constants 4, 9/4, 16/9."""
+    """The determinant inequality, for n <= 4 E det^(1) >= c_n det C with
+    c_n = 4, 9/4, 16/9."""
     for i in range(cfg.trials):
         seed, _, d, n = _draw(cfg, 27, i, (2, max(cfg.max_order, 5)))
         pair = mal.random_pair(d, n, n, seed)
@@ -545,12 +544,6 @@ def check_covariance_inequality(cfg: VerifyConfig, rec: _Recorder):
         margin = res.lhs - res.rhs
         scale = max(1.0, abs(res.lhs), abs(res.rhs))
         rec.add(max(-margin, 0.0) / scale, f"d={d} n={n} seed={seed}")
-        if res.direct_bound is not None:
-            e1, bound = res.edet1, res.direct_bound
-            rec.add(
-                max(bound - e1, 0.0) / max(1.0, abs(e1), abs(bound)),
-                f"direct d={d} n={n} seed={seed}",
-            )
 
 
 # -- mc suite -------------------------------------------------------------------
@@ -638,6 +631,8 @@ def check_mc_moments(cfg: VerifyConfig, rec: _Recorder):
 
 
 def run_suites(cfg: VerifyConfig, suites: list[str]) -> list[CheckResult]:
+    if not suites:  # no check run is no evidence, and a report with no row
+        raise ValueError(f"no suite named; choose from {sorted(SUITES)} or 'all'")
     if "all" in suites:
         selected = list(SUITES)
     else:

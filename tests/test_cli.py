@@ -374,14 +374,22 @@ class TestSweep:
         doc = json.loads(out)
         assert doc["passed"] is True
         assert doc["min_ratio"] >= 1.0 - 1e-9
-        assert all(row["direct_holds"] for row in doc["rows"])
+        # n = 2: the sum is empty and (n-1)^2 = 1, so lhs is E det^(1) itself
+        # and holds is the bound E det^(1) >= 4 det C
+        assert all(row["edet1"] == row["lhs"] and row["holds"] for row in doc["rows"])
 
     def test_order_five_exercises_second_term(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "--order", "5", "--dim", "2", "--trials", "5", "--seed", "4",
         )
         assert code == 0
-        assert json.loads(out)["passed"] is True
+        from chaoskit.malliavin import expected_det, random_pair
+
+        doc = json.loads(out)
+        assert doc["passed"] is True
+        # edet1 is in every row, for every n
+        for row in doc["rows"]:
+            assert row["edet1"] == expected_det(random_pair(2, 5, 5, row["seed"]), 1)
 
     def test_order_one_rejected(self, capsys):
         code, out, err = run(capsys, "sweep", "--order", "1")
@@ -432,25 +440,24 @@ class TestSweep:
         assert len(calls) == 3
 
     def test_failed_trials_exit_1_and_count_violations(self, capsys, monkeypatch):
-        # each trial fails both the inequality and its direct bound
+        # each failing trial is one violation
         real = cli.mal.covariance_inequality
         monkeypatch.setattr(
             cli.mal, "covariance_inequality",
-            lambda pair, tol_rel: replace(real(pair, tol_rel=tol_rel), holds=False,
-                                          direct_holds=False),
+            lambda pair, tol_rel: replace(real(pair, tol_rel=tol_rel), holds=False),
         )
         code, out, _ = run(capsys, "sweep", "--order", "2", "--dim", "2", "--trials", "2")
         assert code == 1
         doc = strict_json(out)
-        assert doc["violations"] == 4 and doc["passed"] is False
-        assert [(row["holds"], row["direct_holds"]) for row in doc["rows"]] == [(False, False)] * 2
+        assert doc["violations"] == 2 and doc["passed"] is False
+        assert [row["holds"] for row in doc["rows"]] == [False] * 2
 
     def test_min_ratio_null_without_ratios(self, capsys, monkeypatch):
         from chaoskit.malliavin import InequalityResult
 
         monkeypatch.setattr(cli.mal, "covariance_inequality",
-                            lambda pair, tol_rel: InequalityResult(0.0, 0.0, True, 0.0, None,
-                                                                   None, 0.0, True))
+                            lambda pair, tol_rel: InequalityResult(0.0, 0.0, True, 0.0, 0.0,
+                                                                   True))
         code, out, _ = run(capsys, "sweep", "--order", "5", "--dim", "1", "--trials", "2")
         assert code == 0
         doc = strict_json(out)
@@ -491,6 +498,13 @@ class TestVerify:
         }[cmd]
         code, _, err = run(capsys, *argv, "--dim", "1")
         assert code == 0, err
+
+    @pytest.mark.parametrize("output", ["json", "csv"])
+    def test_no_suite_named_refused(self, capsys, output):
+        # a run of no check is not a pass, and has no report row
+        code, out, err = run(capsys, "verify", "--suite", ",", "--output", output)
+        assert code == 2 and out == ""
+        assert err.startswith("chaoskit verify: error: no suite named; choose from")
 
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "nope")

@@ -174,11 +174,12 @@ class TestBreakdownFormat:
         assert doc["closed_form"] == expected_det_closed_form(pair, 1).closed_form
 
 
-# -- bulk entry read/write against the per-entry reference ------------------------
+# -- the codec's entry read/write against the first per-entry codec ---------------
 #
-# The references are the per-entry loader and writer that the bulk versions
-# replaced, kept here verbatim in behaviour: every outcome (coefficients or the
-# exact error) of the bulk code must be theirs.
+# The references are the loader and writer as first written, one Python object
+# per entry and no array built from the entry list, kept here verbatim in
+# behaviour: every outcome (coefficients or the exact error) of the codec's
+# entry pass must be theirs.
 
 
 def _reference_require(obj, key, kind, where):

@@ -462,6 +462,42 @@ class TestContractionTable:
         assert peak < 4 * 2**20
 
 
+# (d, n, m, seed) -> float.hex() of expected_dets and of hats[(r, s)] for
+# r <= s in key order, taken when the table gathered F_r and G_r from the
+# dense coefficients; reading them from the orbit vectors moves no bit
+TABLE_REFERENCE = {
+    (1, 3, 2, 1): (
+        ["0x0.0p+0", "0x0.0p+0"],
+        ["0x1.44426a16786acp+1"] * 4,
+    ),
+    (2, 6, 3, 2): (
+        ["0x1.016bb80b17602p+22", "0x1.5673e5d636a92p+23", "0x1.4bc5e778c0523p+23"],
+        ["0x1.1ac536bc7f74ap+2", "0x1.0ef2f302fd65bp+1", "0x1.6c7340f1aa293p+0",
+         "0x1.d89bebbac36d2p-1", "0x1.cfa992592a5f6p-1", "0x1.ce478a6c7b6c0p-2"],
+    ),
+    (3, 2, 4, 3): (
+        ["0x1.db31816f0cad4p+14", "0x1.d94ac6310563ep+15"],
+        ["0x1.e896bc7836c4ap+5", "0x1.cd8d315d0f371p+3", "0x1.0f89f84f00cbcp+3",
+         "0x1.30608b98bcd40p+3"],
+    ),
+    (3, 3, 3, 4): (
+        ["0x1.77a71074a6adbp+17", "0x1.7fbca4a0e179ap+18", "0x1.0ce50534ec960p+18"],
+        ["0x1.ce97b9a6ebf2bp+7", "0x1.136e88062d6cap+6", "0x1.65708a74d9f3ap+5",
+         "0x1.2d61e3e2ffae7p+4", "0x1.93170fd536f5ap+4", "0x1.25eeea0f8e3d4p+1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", TABLE_REFERENCE, ids=str)
+def test_table_bit_identical_to_reference(case):
+    pair = random_pair(*case)
+    dets, upper = TABLE_REFERENCE[case]
+    hats = ContractionTable(pair).hats
+    assert [v.hex() for v in expected_dets(pair)] == dets
+    assert [hats[key].hex() for key in sorted(hats) if key[0] <= key[1]] == upper
+    assert all(hats[(r, s)] == hats[(s, r)] for r, s in hats)
+
+
 def gram_chaos_loop(pair, k):
     """Oracle: one chaos product per orbit representative, weighted by
     orbit size (the per-representative form of gram_chaos)."""

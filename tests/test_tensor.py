@@ -319,6 +319,24 @@ class TestOrbitInfo:
         assert len(orbit_info(7, 5).inverse) == 7**5
 
 
+    @pytest.mark.parametrize("dim", range(1, 5))
+    def test_positions_are_the_row_major_positions_of_the_reps(self, dim):
+        assert orbit_info(dim, 0).positions.tolist() == [0]
+        for order in range(1, 7):
+            info = orbit_info(dim, order)
+            assert info.positions.dtype == np.int64
+            want = info.reps @ dim ** np.arange(order - 1, -1, -1)
+            assert np.array_equal(info.positions, want)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_positions_gather_the_orbit_values(self, seed):
+        for dim, order in [(1, 3), (2, 4), (3, 3), (4, 2), (2, 6)]:
+            t = random_symmetric(dim, order, seed)
+            info = orbit_info(dim, order)
+            got = t.coeffs.ravel()[info.positions]
+            assert got.tobytes() == t.coeffs[tuple(info.reps.T)].tobytes()
+
+
 class TestIsSymmetric:
     def test_detects_asymmetry(self):
         raw = Tensor(2, 2, np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -111,11 +111,16 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    plan = {}
+    plan = {}  # a bad plan is refused before anything is exported or run
     for item in args.pairs:
         workload, _, count = item.partition("=")
-        if workload not in {w["name"] for w in bench["workloads"]} or not count.isdigit():
-            parser.error(f"--pairs wants WORKLOAD=N with a workload of BENCHMARK.json: {item!r}")
+        if workload not in {w["name"] for w in bench["workloads"]} or not (
+            count.isdigit() and int(count) >= 1
+        ):
+            parser.error(f"--pairs wants WORKLOAD=N with a workload of BENCHMARK.json "
+                         f"and N >= 1: {item!r}")
+        if workload in plan:
+            parser.error(f"--pairs names {workload} more than once")
         plan[workload] = int(count)
     parent_rev = _git("rev-parse", "--short", args.parent)
 
