@@ -60,7 +60,10 @@ def _require(obj: dict, key: str, kind, where: str):
     if kind is float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise SchemaError(f"{where}: '{key}' must be a number")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the largest double
+            raise SchemaError(f"{where}: '{key}' is too large for a double") from None
     if kind is int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise SchemaError(f"{where}: '{key}' must be an integer")

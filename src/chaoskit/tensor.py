@@ -58,8 +58,15 @@ def _require_array_size(
     """Refuse a dense array of dim**order entries of entry_bytes each (a
     double by default) above MAX_ARRAY_BYTES.
 
-    Checked in integer arithmetic, before anything is allocated.
+    Checked in integer arithmetic, before anything is allocated.  An order
+    whose 2**order alone passes the cap is refused before dim**order is
+    formed, so a huge order costs no huge power.
     """
+    if dim > 1 and order > MAX_ARRAY_BYTES.bit_length():
+        raise error(
+            f"{what}: dim {dim} and order {order} need more than the cap of "
+            f"{MAX_ARRAY_BYTES} bytes"
+        )
     _require_bytes(f"{what}: dim {dim} and order {order}", entry_bytes * dim**order, error)
 
 

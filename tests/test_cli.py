@@ -146,6 +146,22 @@ class TestGen:
         )
         assert not (tmp_path / "big.json").exists()
 
+    @pytest.mark.parametrize("cmd", ["gen", "sweep"])
+    def test_huge_order_exits_2_on_the_order_alone(self, cmd, tmp_path, capsys):
+        # 3^3000000 doubles: refused before the exact power, whose 1.4 million
+        # digits no message could print, is formed
+        argv = {
+            "gen": ["gen", "-o", str(tmp_path / "big.json")],
+            "sweep": ["sweep", "--trials", "1"],
+        }[cmd]
+        code, out, err = run(capsys, *argv, "--dim", "3", "--order", "3000000")
+        assert code == 2 and out == ""
+        assert err == (
+            f"chaoskit {cmd}: error: random tensor: dim 3 and order 3000000 need more "
+            "than the cap of 1073741824 bytes\n"
+        )
+        assert not (tmp_path / "big.json").exists()
+
     def test_kind_option_refused(self, tmp_path, capsys):
         # gen writes only pair files, the one file format a command reads
         path = tmp_path / "t.json"

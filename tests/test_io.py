@@ -105,6 +105,15 @@ class TestTensorFormat:
         )):
             tensor_from_dict(doc)
 
+    def test_huge_order_refused_on_the_order_alone(self):
+        # 2^3000000 doubles: refused before the exact power is formed
+        doc = {"dim": 2, "order": 3000000, "symmetric": True, "entries": []}
+        with pytest.raises(SchemaError, match=(
+            r"^tensor: dim 2 and order 3000000 need more than the cap of "
+            r"1073741824 bytes$"
+        )):
+            tensor_from_dict(doc)
+
     def test_extra_keys_tolerated(self):
         doc = tensor_to_dict(basis_tensor(2, (0,)))
         doc["seed"] = 99
@@ -139,6 +148,17 @@ class TestPairFormat:
         del doc["f"]["layout"]  # the full layout loads, and the pair refuses it
         with pytest.raises(SchemaError, match="^pair: components must be symmetric tensors$"):
             pair_from_dict(doc)
+
+    def test_oversized_integer_value_exits_2(self, tmp_path, capsys):
+        # a 401-digit integer has no double: a schema error naming the entry,
+        # not an OverflowError
+        doc = pair_to_dict(random_pair(2, 2, 2, 3))
+        doc["f"]["entries"][1]["value"] = 10**400
+        code, err = _density(capsys, doc, tmp_path)
+        assert code == 2
+        assert err == (
+            "chaoskit density: error: tensor entry 1: 'value' is too large for a double\n"
+        )
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -343,15 +363,18 @@ class TestBulkEntries:
             assert got == outcome(reference_tensor_from_dict, _doc(entries))
             assert got[1].startswith("tensor entry 1: "), second
 
-    def test_huge_value_overflows_as_before(self):
+    def test_huge_value_is_a_schema_error(self):
         # float() of an integer beyond the double range raises OverflowError in
-        # both, unless an earlier entry is malformed
+        # the reference; the codec names the entry instead, unless an earlier
+        # entry is malformed
         entries = [GOOD_ENTRIES[0], {"index": [0, 1], "value": 10**400}]
+        assert outcome(reference_tensor_from_dict, _doc(entries))[0] is OverflowError
         got = outcome(tensor_from_dict, _doc(entries))
-        assert got[0] is OverflowError
-        assert got == outcome(reference_tensor_from_dict, _doc(entries))
+        assert got == (SchemaError, "tensor entry 1: 'value' is too large for a double")
         entries.insert(1, BAD_ENTRIES["nan value"])
-        assert outcome(tensor_from_dict, _doc(entries))[1].startswith("tensor entry 1: ")
+        got = outcome(tensor_from_dict, _doc(entries))
+        assert got == outcome(reference_tensor_from_dict, _doc(entries))
+        assert got[1].startswith("tensor entry 1: ")
 
     @pytest.mark.parametrize(
         "entries, order",

@@ -7,7 +7,8 @@ covers.
 
     python tools/count_src_lines.py src/chaoskit
 
-prints one line per file and the total on the last line.
+prints one line per file and the total on the last line.  A reader that
+closes the output early, as ``| head -3`` does, ends it quietly.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 import argparse
 import ast
 import io
+import os
+import sys
 import tokenize
 from pathlib import Path
 
@@ -74,4 +77,11 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is left, and the flush at exit, nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    raise SystemExit(status)
