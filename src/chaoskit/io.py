@@ -231,11 +231,14 @@ def save_pair(pair: MalliavinPair, path: PathLike, seed: Optional[int] = None) -
 
 
 def _read_json(path: PathLike) -> dict:
+    with open(path) as fh:
+        text = fh.read()
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise SchemaError(f"{path}: a number has too many digits") from exc
 
 
 def _write_json(obj: dict, path: PathLike) -> None:

@@ -46,7 +46,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
@@ -155,14 +154,6 @@ def _alpha(n: int, m: int, k: int, r: int) -> int:
     # perm(n, j) = C(n, j) j! is divisible by r! for r <= j, so the quotient is exact
     q = math.perm(n, k + r) * math.perm(m, k + r) // math.factorial(r)
     return q**2 * checked_factorial(n + m - 2 * k - 2 * r)
-
-
-def _beta(n: int, m: int, k: int, r: int) -> int:
-    # scales the hat-contraction form of T_r: n!^2 m!^2 / ((n-k-r)! (m-k-r)! (r!)^2),
-    # an integer: it is n! m! perm(n, k+r) perm(m, k+r) / r!^2
-    num = math.factorial(n) ** 2 * math.factorial(m) ** 2
-    den = math.factorial(n - k - r) * math.factorial(m - k - r) * math.factorial(r) ** 2
-    return num // den
 
 
 # -- symbolic route: Gram entries as chaos expansions ------------------------
@@ -335,20 +326,24 @@ class ContractionTable:
                 ix, iy, w = _swap_plan(d, p, q, s)
                 hats[(r, s)] = hats[(s, r)] = float(w @ (c[ix] * c[iy]))
 
-    def term(self, k: int, r: int) -> float:
-        """T_r of the k-th iterated matrix, 0 <= r <= min(n, m) - k: beta(k, r)
-        * sum_s C(n-k-r,s) C(m-k-r,s) (hats[(r,s)] - hats[(r,s+k)])."""
-        n, m, hats = self.n, self.m, self.hats
-        total = 0.0
-        for s in range(min(n - k - r, m - k - r) + 1):
-            w = math.comb(n - k - r, s) * math.comb(m - k - r, s)
-            total += w * (hats[(r, s)] - hats[(r, s + k)])
-        return float(_beta(n, m, k, r)) * total
-
     def terms(self, k: int) -> tuple[float, tuple[float, ...]]:
-        """(T_0, (T_1, ..., T_rmax)) for the k-th iterated matrix."""
-        rmax = min(self.n - k, self.m - k)
-        return self.term(k, 0), tuple(self.term(k, r) for r in range(1, rmax + 1))
+        """(T_0, (T_1, ..., T_rmax)) for the k-th iterated matrix, rmax =
+        min(n, m) - k, in one pass over r: T_r = beta(k, r) * sum_s
+        C(n-k-r,s) C(m-k-r,s) (hats[(r,s)] - hats[(r,s+k)]), with the exact
+        integer beta(k, r) = n!^2 m!^2 / ((n-k-r)! (m-k-r)! r!^2)."""
+        n, m, hats = self.n, self.m, self.hats
+        nm = math.factorial(n) * math.factorial(m)
+        out = []
+        for r in range(min(n, m) - k + 1):
+            total = 0.0
+            for s in range(min(n - k - r, m - k - r) + 1):
+                w = math.comb(n - k - r, s) * math.comb(m - k - r, s)
+                total += w * (hats[(r, s)] - hats[(r, s + k)])
+            # beta = n! m! perm(n, k+r) perm(m, k+r) / r!^2, and r! divides
+            # each perm(., k+r) = C(., k+r) (k+r)!, so the quotient is exact
+            beta = nm * math.perm(n, k + r) * math.perm(m, k + r) // math.factorial(r) ** 2
+            out.append(float(beta) * total)
+        return out[0], tuple(out[1:])
 
 
 def t0_term(pair: MalliavinPair, k: int) -> float:
@@ -359,7 +354,7 @@ def t0_term(pair: MalliavinPair, k: int) -> float:
     :class:`ContractionTable`.
     """
     _check_k(pair, k)
-    return ContractionTable(pair).term(k, 0)
+    return ContractionTable(pair).terms(k)[0]
 
 
 def tr_term(pair: MalliavinPair, k: int, r: int) -> float:
@@ -373,7 +368,7 @@ def tr_term(pair: MalliavinPair, k: int, r: int) -> float:
     _check_k(pair, k)
     if not 1 <= r <= min(pair.n - k, pair.m - k):
         raise ValueError(f"r = {r} out of range [1, {min(pair.n - k, pair.m - k)}]")
-    return ContractionTable(pair).term(k, r)
+    return ContractionTable(pair).terms(k)[1][r - 1]
 
 
 def tr_term_direct(pair: MalliavinPair, k: int, r: int) -> float:
@@ -529,8 +524,8 @@ def covariance_inequality(pair: MalliavinPair, tol_rel: float = 1e-9) -> Inequal
     dets = expected_dets(pair)
     lhs = (n - 1) ** 2 * dets[0]
     for s in range(2, (n - 1) // 2 + 1):
-        w = Fraction(n * (n - 2 * s), math.factorial(s) ** 2)
-        lhs += float(w) * dets[s - 1]
+        # int / int true division rounds the exact rational weight correctly
+        lhs += n * (n - 2 * s) / math.factorial(s) ** 2 * dets[s - 1]
     c, zero = _covariance(pair)
     rhs = n**2 * c
     holds = lhs >= rhs - tol_rel * max(1.0, abs(lhs), abs(rhs))

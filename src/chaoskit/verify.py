@@ -497,14 +497,14 @@ def check_top_term_formula(cfg: VerifyConfig, rec: _Recorder):
         table = mal.ContractionTable(pair)
         for k in range(1, n):
             r = n - k
-            got = table.term(k, r)
+            got = table.terms(k)[1][-1]  # T_r at its top index r = n - k
             lead = math.factorial(n) ** 4 / math.factorial(n - k) ** 2
             c_fg = contract(f, g, r)
             c_gf = contract(g, f, r)
             want = lead * (inner(c_fg, c_fg) - inner(c_fg, c_gf))
             rec.add(_rel_err(got, want), f"top r d={d} n={n} k={k} seed={seed}")
         rec.add(  # at k = n there are no correction terms: E det = T_0
-            _rel_err(table.term(n, 0), math.factorial(n) ** 2 * mal.cov_det(pair)),
+            _rel_err(table.terms(n)[0], math.factorial(n) ** 2 * mal.cov_det(pair)),
             f"k=n d={d} n={n} seed={seed}",
         )
 

@@ -270,7 +270,8 @@ class TestEdet:
             capsys, "edet", "--pair", str(pair_file), "--output", "csv", "-o", str(path),
         )
         assert code == 0
-        rows = list(csv.DictReader(path.open()))
+        with path.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         assert float(rows[0]["closed_form"]) == pytest.approx(float(rows[0]["symbolic"]))
 

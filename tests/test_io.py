@@ -160,6 +160,20 @@ class TestPairFormat:
             "chaoskit density: error: tensor entry 1: 'value' is too large for a double\n"
         )
 
+    def test_integer_past_the_digit_limit_names_the_file(self, tmp_path, capsys):
+        # json.load refuses to convert a 5000-digit integer literal (Python's
+        # default limit is 4300 digits): a schema error naming the file, not
+        # the interpreter's advice to raise the limit
+        doc = pair_to_dict(random_pair(2, 2, 2, 3))
+        doc["f"]["entries"][1]["value"] = "DIGITS"
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc).replace('"DIGITS"', "9" * 5000))
+        code = cli.main(["density", "--pair", str(path), "-o", str(tmp_path / "out.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"chaoskit density: error: {path}: a number has too many digits\n"
+        )
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("not json")

@@ -8,19 +8,26 @@ with expectation 12, and whose covariance determinant is 2.
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
 from chaoskit import malliavin, tensor, verify
-from chaoskit.chaos import ChaosExpansion, derivative, evaluate, expectation, multiply
+from chaoskit.chaos import (
+    FACTORIAL_CAP,
+    ChaosExpansion,
+    derivative,
+    evaluate,
+    expectation,
+    multiply,
+)
 from chaoskit.malliavin import (
     ContractionTable,
     MalliavinPair,
     Verdict,
     _alpha,
-    _beta,
     cov_det,
     covariance_inequality,
     density_check,
@@ -539,12 +546,16 @@ def reference_t0(norms, n, m, k):
 
 
 def reference_tr(hats, n, m, k, r):
-    """T_r for r >= 1 from the hat contractions, the separate T_r body."""
+    """T_r for r >= 1 from the hat contractions, the separate T_r body, with
+    beta(k, r) = n!^2 m!^2 / ((n-k-r)! (m-k-r)! r!^2) as a factorial quotient."""
     total = 0.0
     for s in range(min(n - k - r, m - k - r) + 1):
         w = math.comb(n - k - r, s) * math.comb(m - k - r, s)
         total += w * (hats[(r, s)] - hats[(r, s + k)])
-    return float(_beta(n, m, k, r)) * total
+    beta = math.factorial(n) ** 2 * math.factorial(m) ** 2 // (
+        math.factorial(n - k - r) * math.factorial(m - k - r) * math.factorial(r) ** 2
+    )
+    return float(beta) * total
 
 
 def reference_t0_scale(norms, n, m, k):
@@ -561,7 +572,7 @@ def reference_t0_scale(norms, n, m, k):
 
 
 class TestOneTermFormula:
-    """term(k, r) is the separate T_0 and T_r bodies: bit for bit where the
+    """terms(k) is the separate T_0 and T_r bodies: bit for bit where the
     formula is shared, and within rounding of the dense contraction norms."""
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -576,7 +587,7 @@ class TestOneTermFormula:
             )
             for k in range(1, min(n, m) + 1):
                 t0, tr = table.terms(k)
-                assert t0.hex() == table.term(k, 0).hex() == t0_term(pair, k).hex()
+                assert t0.hex() == t0_term(pair, k).hex()
                 assert abs(t0 - reference_t0(norms, n, m, k)) <= 1e-13 * reference_t0_scale(
                     norms, n, m, k
                 )
@@ -928,9 +939,23 @@ class TestCombinatorialCoeffs:
     def test_alpha_worked_value(self):
         assert _alpha(2, 2, 1, 0) == 32  # (2! 2! / 1! 1! 0!)^2 * 2!
 
-    def test_beta_positive(self):
-        for n, m, k, r in [(3, 3, 1, 1), (4, 3, 1, 2), (4, 4, 2, 2)]:
-            assert _beta(n, m, k, r) > 0
+    def test_beta_is_exact(self):
+        # terms(k) forms beta(k, r) as n! m! perm(n, k+r) perm(m, k+r) // r!^2;
+        # over every valid (n, m, k, r) the floor division never truncates
+        cases = 0
+        for n, m in itertools.product(range(1, FACTORIAL_CAP + 1), repeat=2):
+            nm = math.factorial(n) * math.factorial(m)
+            for k in range(1, min(n, m) + 1):
+                for r in range(min(n, m) - k + 1):
+                    got = nm * math.perm(n, k + r) * math.perm(m, k + r) // math.factorial(r) ** 2
+                    want = Fraction(
+                        math.factorial(n) ** 2 * math.factorial(m) ** 2,
+                        math.factorial(n - k - r) * math.factorial(m - k - r)
+                        * math.factorial(r) ** 2,
+                    )
+                    assert got == want, (n, m, k, r)
+                    cases += 1
+        assert cases == 16170
 
     def test_cap(self):
         from chaoskit.chaos import CoefficientCapError

@@ -233,6 +233,12 @@ def _broken(owner, name, change):
     return owner, name, lambda *args, **kwargs: change(real(*args, **kwargs))
 
 
+def _negated_terms(terms):
+    """ContractionTable.terms' (T_0, (T_1, ...)) with every term negated."""
+    t0, tr = terms
+    return -t0, tuple(-v for v in tr)
+
+
 def _flipped(verdict):
     return (mal.Verdict.ABSOLUTELY_CONTINUOUS if verdict is mal.Verdict.DEGENERATE
             else mal.Verdict.DEGENERATE)
@@ -255,8 +261,10 @@ BREAKS = {
         mal, "sum_of_squares_eval", lambda v: 1.001 * v),
     verify.check_direct_term_agreement: lambda: _broken(
         mal, "tr_term_direct", lambda v: 1.001 * v),
-    verify.check_term_nonnegativity: lambda: _broken(mal.ContractionTable, "term", lambda v: -v),
-    verify.check_top_term_formula: lambda: _broken(mal.ContractionTable, "term", lambda v: -v),
+    verify.check_term_nonnegativity: lambda: _broken(
+        mal.ContractionTable, "terms", _negated_terms),
+    verify.check_top_term_formula: lambda: _broken(
+        mal.ContractionTable, "terms", _negated_terms),
     verify.check_degeneracy: lambda: _broken(
         mal, "density_check", lambda rep: replace(rep, verdict=_flipped(rep.verdict))),
     verify.check_covariance_inequality: lambda: _broken(
