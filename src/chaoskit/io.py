@@ -231,17 +231,18 @@ def save_pair(pair: MalliavinPair, path: PathLike, seed: Optional[int] = None) -
 
 
 def _read_json(path: PathLike) -> dict:
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-    except ValueError as exc:  # an integer literal past the interpreter's digit limit
-        raise SchemaError(f"{path}: a number has too many digits") from exc
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.loads(fh.read())
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+        except ValueError as exc:  # an integer literal past the interpreter's digit limit
+            raise SchemaError(f"{path}: a number has too many digits") from exc
 
 
 def _write_json(obj: dict, path: PathLike) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")

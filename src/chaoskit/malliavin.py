@@ -247,16 +247,6 @@ def sum_of_squares_eval(pair: MalliavinPair, k: int, xi):
 
 # -- closed-form route: one contraction table per pair -----------------------
 
-# gather plans kept for this many shapes (d, p, q) and (d, p, q, s) each
-_PLAN_CACHE_SIZE = 128
-
-
-def _orbit_count(dim: int, order: int) -> int:
-    """N(d, q) = C(d+q-1, q), the number of permutation orbits of [0, d)^q."""
-    return math.comb(dim + order - 1, order)
-
-
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _merge(dim: int, p: int, q: int) -> np.ndarray:
     """(N(p), N(q)) orbit ids in orbit_info(dim, p + q) of the multisets a + b,
     a and b the representatives of orders p and q: the inverse map read at
@@ -266,19 +256,44 @@ def _merge(dim: int, p: int, q: int) -> np.ndarray:
     return orbit_info(dim, p + q).inverse[a[:, None] * dim**q + b]
 
 
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _swap_plan(dim: int, p: int, q: int, s: int) -> tuple[np.ndarray, ...]:
     """Flat indices ix, iy into an (N(p), N(q)) orbit matrix c and weights w,
     so that w @ (c[ix] * c[iy]) is the sum of c[a1+a2, b1+b2] c[b1+a2, a1+b2]
     over every index tuple, a1 and b1 of length s: axes (a1, a2, b1, b2)
     run over orbits, each weighted by its size."""
     ma, mb = _merge(dim, s, p - s), _merge(dim, s, q - s)
-    nq = _orbit_count(dim, q)
+    nq = math.comb(dim + q - 1, q)  # N(d, q), the orbits of [0, d)^q
     ix = ma[:, :, None, None] * nq + mb[None, None]
     iy = ma.T[None, :, :, None] * nq + mb[:, None, None, :]
     cs, ca, cb = (orbit_info(dim, o).counts.astype(np.float64) for o in (s, p - s, q - s))
     w = np.multiply.outer(np.multiply.outer(cs, ca), np.multiply.outer(cs, cb))
     return ix.ravel(), iy.ravel(), w.ravel()
+
+
+@lru_cache(maxsize=128)  # plans kept for this many shapes (d, n, m)
+def _table_plan(d: int, n: int, m: int) -> tuple[str, tuple[int, ...], tuple[tuple, ...]]:
+    """What a ContractionTable of shape (d, n, m) reads besides the values
+    of f and g: the name its size errors give, the byte size of each of its
+    arrays in the order they are checked, and per r >= 1 the row (r, F_r
+    gather, G_r gather, orbit sizes of r, n-r and m-r, ((s, ix, iy, w) per
+    s >= 1)).  Each size is checked against MAX_ARRAY_BYTES before its
+    array is built, so a refusal caches nothing."""
+    what = f"contraction table: dim {d} and orders ({n}, {m})"
+    sizes, rows = [], []
+    orbits = [math.comb(d + o - 1, o) for o in range(max(n, m) + 1)]  # N(d, o)
+    for r in range(1, min(n, m) + 1):
+        p, q = n - r, m - r
+        # F_r, G_r and C_r, then each swap plan of C_r
+        sizes.append(8 * max(max(orbits[p], orbits[q]) * orbits[r], orbits[p] * orbits[q]))
+        _require_bytes(what, sizes[-1])
+        row = (r, _merge(d, p, r), _merge(d, q, r), *(orbit_info(d, o).counts for o in (r, p, q)))
+        swaps = []
+        for s in range(1, min(r, p, q) + 1):
+            sizes.append(8 * orbits[s] ** 2 * orbits[p - s] * orbits[q - s])
+            _require_bytes(what, sizes[-1])
+            swaps.append((s, *_swap_plan(d, p, q, s)))
+        rows.append((*row, tuple(swaps)))
+    return what, tuple(sizes), tuple(rows)
 
 
 class ContractionTable:
@@ -298,10 +313,13 @@ class ContractionTable:
     gathers of C_r (see _swap_plan).  hats[(r, s)] = hats[(s, r)] (the
     swap identity) is read off the smaller contraction, so the r = 0 row
     is the norms ||C_s||^2, with ||C_0||^2 = ||f||^2 ||g||^2 so the outer
-    product is never built.  The gather maps (_merge, _swap_plan) depend
-    only on the shapes and are cached.  Every array is checked against
-    MAX_ARRAY_BYTES before it is built, and none is larger than the dense
-    array it stands for (f, g, or the d^(n+m-2r) entries of C_r).  A table lives for one call; nothing is stored on the pair.
+    product is never built.  The gathers, orbit sizes and array sizes depend
+    only on the shape (d, n, m) and are cached as one plan (_table_plan).
+    Every array size is checked against the current MAX_ARRAY_BYTES on
+    every call, cached plan or not, before any C_r is formed, and no
+    array is larger than the dense array it stands for (f, g, or the
+    d^(n+m-2r) entries of C_r).  A table lives for one call; nothing is
+    stored on the pair.
     """
 
     def __init__(self, pair: MalliavinPair):
@@ -310,20 +328,14 @@ class ContractionTable:
         self.hats = hats = {(0, 0): inner(pair.f, pair.f) * inner(pair.g, pair.g)}
         # each component's orbit vector: its value at every representative
         f, g = (t.coeffs.ravel()[orbit_info(d, t.order).positions] for t in (pair.f, pair.g))
-        what = f"contraction table: dim {d} and orders ({n}, {m})"
-        for r in range(1, min(n, m) + 1):
-            p, q = n - r, m - r
-            np_, nq, nr = (_orbit_count(d, o) for o in (p, q, r))
-            _require_bytes(what, 8 * max(max(np_, nq) * nr, np_ * nq))  # F_r, G_r, C_r
-            c = (f[_merge(d, p, r)] * orbit_info(d, r).counts) @ g[_merge(d, q, r)].T
-            hats[(r, 0)] = hats[(0, r)] = float(
-                orbit_info(d, p).counts @ (c * c) @ orbit_info(d, q).counts
-            )
+        what, sizes, rows = _table_plan(d, n, m)
+        for nbytes in sizes:  # the cap may have been lowered since the plan was cached
+            _require_bytes(what, nbytes)
+        for r, fr, gr, mr, mp, mq, swaps in rows:
+            c = (f[fr] * mr) @ g[gr].T
+            hats[(r, 0)] = hats[(0, r)] = float(mp @ (c * c) @ mq)
             c = c.ravel()
-            for s in range(1, min(r, p, q) + 1):
-                plan = _orbit_count(d, s) ** 2 * _orbit_count(d, p - s) * _orbit_count(d, q - s)
-                _require_bytes(what, 8 * plan)
-                ix, iy, w = _swap_plan(d, p, q, s)
+            for s, ix, iy, w in swaps:
                 hats[(r, s)] = hats[(s, r)] = float(w @ (c[ix] * c[iy]))
 
     def terms(self, k: int) -> tuple[float, tuple[float, ...]]:

@@ -174,6 +174,15 @@ class TestPairFormat:
             f"chaoskit density: error: {path}: a number has too many digits\n"
         )
 
+    def test_not_utf8_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'{"f": "\xff"}')
+        code = cli.main(["density", "--pair", str(path), "-o", str(tmp_path / "out.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"chaoskit density: error: {path}: not UTF-8 text (byte 7: invalid start byte)\n"
+        )
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("not json")

@@ -492,6 +492,24 @@ TABLE_REFERENCE = {
         ["0x1.ce97b9a6ebf2bp+7", "0x1.136e88062d6cap+6", "0x1.65708a74d9f3ap+5",
          "0x1.2d61e3e2ffae7p+4", "0x1.93170fd536f5ap+4", "0x1.25eeea0f8e3d4p+1"],
     ),
+    # the swap hats with s >= 2: (2, 2) and up to (3, 3)
+    (3, 6, 6, 5): (
+        ["0x1.0a3cc9eee4b55p+40", "0x1.063649bff8d27p+43", "0x1.1c7e5544189b4p+45",
+         "0x1.7630608d146d6p+46", "0x1.12ab10e6dec62p+47", "0x1.43d13d8a3d004p+46"],
+        ["0x1.4bf96840e8939p+8", "0x1.d0b3a3a016835p+6", "0x1.d3c9121302681p+5",
+         "0x1.06c59f0e2d908p+5", "0x1.fda3d45c6cae4p+3", "0x1.b08b542688501p+1",
+         "0x1.84bff3e7fefb8p-1", "0x1.7aecd1759af1cp+5", "0x1.9012f6ea650f8p+4",
+         "0x1.942fc7e5debc1p+3", "0x1.b30c28847608ep+1", "-0x1.b3125542a28dep+0",
+         "0x1.75f12185e86f0p+3", "0x1.cbd4fd8fc55c2p+1", "-0x1.4ceeb0c16e16ap-3",
+         "-0x1.f4d5a745891e7p-3"],
+    ),
+    (2, 5, 4, 6): (
+        ["0x1.f3a931f66f2ebp+23", "0x1.1e1c895797876p+26", "0x1.17aa2d615be9cp+27",
+         "0x1.9289b2abdf70dp+26"],
+        ["0x1.ed021dfc26291p+3", "0x1.0070a1a1d02eap+3", "0x1.427e534ff54a2p+2",
+         "0x1.79ab5a716a4d2p+1", "0x1.5797e9a80a47ap+1", "0x1.92d19fbcd898cp+1",
+         "0x1.dfff6b0a6b214p+0", "0x1.e4c1dc4f678d8p+0", "0x1.0c6a37b80061ep+1"],
+    ),
 }
 
 
@@ -912,7 +930,7 @@ class TestTableSizeCap:
         # at (6, 6, 6) the r = 1, s = 1 swap plan holds 6^2 * 126^2 indices
         # (4.57 MB); the pair and its orbit grid are built under the real cap
         pair = random_pair(6, 6, 6, 5)
-        malliavin._swap_plan.cache_clear()
+        malliavin._table_plan.cache_clear()
         monkeypatch.setattr(tensor, "MAX_ARRAY_BYTES", 2**21)
         tracemalloc.start()
         try:
@@ -924,7 +942,21 @@ class TestTableSizeCap:
         finally:
             tracemalloc.stop()
         assert peak < 2**21
-        assert malliavin._swap_plan.cache_info().currsize == 0
+        assert malliavin._table_plan.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("cap, nbytes", [(200, 288), (600, 648)])
+    def test_refuses_a_cached_plan_under_a_lowered_cap(self, monkeypatch, cap, nbytes):
+        # at (3, 3, 3) the arrays need 288, 648, 144, 72 and 80 bytes in the
+        # order checked: the first one over the cap is named, not the largest
+        pair = random_pair(3, 3, 3, 4)
+        expected_dets(pair)  # caches the plan under the real cap
+        monkeypatch.setattr(tensor, "MAX_ARRAY_BYTES", cap)
+        hits = malliavin._table_plan.cache_info().hits
+        with pytest.raises(ValueError, match=rf"^contraction table: dim 3 and orders \(3, 3\) "
+                                             rf"need {nbytes} bytes, above the cap of {cap} "
+                                             r"bytes$"):
+            expected_dets(pair)
+        assert malliavin._table_plan.cache_info().hits == hits + 1
 
 
 class TestOracleSizeCap:
