@@ -10,8 +10,9 @@ only where the subcommand has the option, and a subcommand without
 ``main`` call; the environment is read per call.  Exit codes: 0 success
 (all checks passed / report produced), 1 a verification check or sweep
 trial failed or a density report is inconsistent, 2 invalid
-configuration or input file.  Reports are JSON by default, CSV on
-request; every randomized run records the seeds needed to replay it.
+configuration or input file, or a report holding a non-finite number.
+Reports are JSON by default, CSV on request; every randomized run
+records the seeds needed to replay it.
 ``chaoskit --version`` prints ``chaoskit <version>`` and exits 0.
 """
 
@@ -171,9 +172,23 @@ def _fmt(x) -> str:
     return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
+def _non_finite(value, path: str):
+    """Yield the dotted path of each non-finite float in a report's dicts and
+    lists."""
+    for key, v in value.items() if isinstance(value, dict) else enumerate(value):
+        if isinstance(v, float) and not math.isfinite(v):
+            yield f"{path}.{key}"
+        elif isinstance(v, (dict, list, tuple)):
+            yield from _non_finite(v, f"{path}.{key}")
+
+
 def _emit(report: dict, rows: list[dict], args: argparse.Namespace) -> None:
+    # a non-finite number is an error (exit 2) in either format, never nan or inf;
+    # every row value is also a report value
+    bad = next(_non_finite(report, "report"), None)
+    if bad is not None:
+        raise ValueError(f"{bad} is not finite; nothing was written")
     if args.output == "json":
-        # strict JSON: a non-finite value is an error (exit 2), never NaN/Infinity
         text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     else:
         buf = StringIO()
@@ -196,25 +211,15 @@ def _emit(report: dict, rows: list[dict], args: argparse.Namespace) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     suites = [s.strip() for s in args.suite.split(",") if s.strip()]
-    vcfg = VerifyConfig(
-        dim=args.dim,
-        max_order=args.max_order,
-        trials=args.trials,
-        samples=args.samples,
-        seed=args.seed,
-        tol_rel=args.tol_rel,
-    )
+    vcfg = VerifyConfig(**{f.name: getattr(args, f.name) for f in fields(VerifyConfig)})
     results = run_suites(vcfg, suites)
     passed = all(r.passed for r in results)
-    rows = []
-    for r in results:
-        row = asdict(r)
-        row["failures"] = "; ".join(r.failures)
-        rows.append(row)
+    checks = [asdict(r) for r in results]
+    rows = [{**c, "failures": "; ".join(c["failures"])} for c in checks]
     report = {
         "command": "verify",
         "config": {"suite": suites, **asdict(vcfg)},
-        "checks": [asdict(r) for r in results],
+        "checks": checks,
         "passed": passed,
     }
     _emit(report, rows, args)

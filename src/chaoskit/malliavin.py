@@ -478,14 +478,24 @@ def _covariance(pair: MalliavinPair) -> tuple[float, float]:
     """(det C, its default zero threshold) from one set of inner products.
 
     det C = n!^2 (||f||^2 ||g||^2 - <f, g>^2) grows like n!^2 ||f||^2
-    ||g||^2, so det C is called zero at or below 1e-10 of that scale.
+    ||g||^2, so det C is called zero at or below 1e-10 of that scale.  The
+    scale is floored at 1e-300 for a zero component; a pair of nonzero
+    components whose scale is below that floor, or not finite, is refused,
+    since its det C cannot be told from zero or from overflow.
     """
     n = _require_equal_orders(pair)
     nf2 = inner(pair.f, pair.f)
     ng2 = inner(pair.g, pair.g)
     fg = inner(pair.f, pair.g)
     fac2 = math.factorial(n) ** 2
-    return fac2 * (nf2 * ng2 - fg * fg), 1e-10 * max(fac2 * nf2 * ng2, 1e-300)
+    scale = fac2 * nf2 * ng2
+    if not 1e-300 <= scale < math.inf:
+        if not math.isfinite(scale) or (np.any(pair.f.coeffs) and np.any(pair.g.coeffs)):
+            raise ValueError(
+                f"the pair's scale n!^2 ||f||^2 ||g||^2 = {scale:g} is outside"
+                " [1e-300, inf), where det C cannot be resolved; rescale f and g"
+            )
+    return fac2 * (nf2 * ng2 - fg * fg), 1e-10 * max(scale, 1e-300)
 
 
 def cov_det(pair: MalliavinPair) -> float:
@@ -533,12 +543,12 @@ def covariance_inequality(pair: MalliavinPair, tol_rel: float = 1e-9) -> Inequal
     if n < 2:
         raise ValueError(f"the inequality requires order n >= 2, got {n}")
     _check_tol("tol_rel", tol_rel)
+    c, zero = _covariance(pair)  # refuses an unresolvable scale before the table
     dets = expected_dets(pair)
     lhs = (n - 1) ** 2 * dets[0]
     for s in range(2, (n - 1) // 2 + 1):
         # int / int true division rounds the exact rational weight correctly
         lhs += n * (n - 2 * s) / math.factorial(s) ** 2 * dets[s - 1]
-    c, zero = _covariance(pair)
     rhs = n**2 * c
     holds = lhs >= rhs - tol_rel * max(1.0, abs(lhs), abs(rhs))
     return InequalityResult(lhs, rhs, holds, dets[0], c, c <= zero)

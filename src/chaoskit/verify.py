@@ -86,16 +86,15 @@ def anchor_pair() -> mal.MalliavinPair:
     return mal.MalliavinPair(f, g)
 
 
-def _draw(
-    cfg: VerifyConfig, salt: int, i: int, *orders: tuple[int, int], dim: int | None = None
-):
-    """Seed, generator, d in [2, dim or cfg.dim], then one order from each
-    inclusive (lo, hi) range in turn, for instance i of the check with
-    this salt."""
-    seed = instance_seed(cfg.seed, salt, i)
-    rng = np.random.default_rng(seed)
-    d = int(rng.integers(2, (dim or cfg.dim) + 1))
-    return (seed, rng, d, *(int(rng.integers(lo, hi + 1)) for lo, hi in orders))
+def _instances(cfg: VerifyConfig, salt: int, *orders: tuple[int, int], dim: int | None = None):
+    """Yield the cfg.trials instances of the check with this salt: seed,
+    generator, d in [2, dim or cfg.dim], then one order from each inclusive
+    (lo, hi) range in turn."""
+    for trial in range(cfg.trials):
+        seed = instance_seed(cfg.seed, salt, trial)
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, (dim or cfg.dim) + 1))
+        yield (seed, rng, d, *(int(rng.integers(lo, hi + 1)) for lo, hi in orders))
 
 
 def _four_tensors(d: int, n: int, m: int, seed: int):
@@ -105,6 +104,11 @@ def _four_tensors(d: int, n: int, m: int, seed: int):
 
 def _rel_err(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+
+
+def _max_rel_dev(got: np.ndarray, want: np.ndarray) -> float:
+    """max |got - want|, relative to max(1, max |want|)."""
+    return float(np.max(np.abs(got - want))) / max(1.0, float(np.max(np.abs(want))))
 
 
 class _Recorder:
@@ -166,8 +170,7 @@ def _check(suite: str, tol: float | None = None):
 def check_slice_reassembly(cfg: VerifyConfig, rec: _Recorder):
     """Summing sliced contractions over a shared multi-index collapses the
     slices back into a deeper contraction of the full tensors."""
-    for i in range(cfg.trials):
-        seed, _, d, n, m = _draw(cfg, 1, i, (1, cfg.max_order), (1, cfg.max_order))
+    for seed, _, d, n, m in _instances(cfg, 1, (1, cfg.max_order), (1, cfg.max_order)):
         f = random_symmetric(d, n, seed)
         g = random_symmetric(d, m, seed + 1)
         for k in range(0, min(n, m) + 1):
@@ -178,17 +181,16 @@ def check_slice_reassembly(cfg: VerifyConfig, rec: _Recorder):
                         slice_tensor(f, idx), slice_tensor(g, idx), r
                     )
                 direct = contract(f, g, r + k)
-                dev = float(
-                    np.max(np.abs(total.coeffs - direct.coeffs))
-                ) / max(1.0, float(np.max(np.abs(direct.coeffs))))
-                rec.add(dev, f"d={d} n={n} m={m} k={k} r={r} seed={seed}")
+                rec.add(
+                    _max_rel_dev(total.coeffs, direct.coeffs),
+                    f"d={d} n={n} m={m} k={k} r={r} seed={seed}",
+                )
 
 
 @_check("tensor")
 def check_contraction_swap(cfg: VerifyConfig, rec: _Recorder):
     """<f x_{n-r} h, g x_{m-r} l> = <f x_r g, h x_r l>."""
-    for i in range(cfg.trials):
-        seed, _, d, n, m = _draw(cfg, 2, i, (1, cfg.max_order), (1, cfg.max_order))
+    for seed, _, d, n, m in _instances(cfg, 2, (1, cfg.max_order), (1, cfg.max_order)):
         f, h, g, ell = _four_tensors(d, n, m, seed)
         for r in range(0, min(n - 1, m - 1) + 1):
             lhs = inner(contract(f, h, n - r), contract(g, ell, m - r))
@@ -199,8 +201,7 @@ def check_contraction_swap(cfg: VerifyConfig, rec: _Recorder):
 @_check("tensor")
 def check_symmetrized_product_inner(cfg: VerifyConfig, rec: _Recorder):
     """<sym(f x g), sym(l x h)> expands over contractions of the four tensors."""
-    for i in range(cfg.trials):
-        seed, _, d, n, m = _draw(cfg, 3, i, (1, cfg.max_order), (1, cfg.max_order))
+    for seed, _, d, n, m in _instances(cfg, 3, (1, cfg.max_order), (1, cfg.max_order)):
         f, h, g, ell = _four_tensors(d, n, m, seed)
         lhs = inner(symmetrize(tensor_product(f, g)), symmetrize(tensor_product(ell, h)))
         total = 0.0
@@ -217,8 +218,7 @@ def check_symmetrized_product_inner(cfg: VerifyConfig, rec: _Recorder):
 @_check("tensor")
 def check_hat_expansion(cfg: VerifyConfig, rec: _Recorder):
     """<sym(f x_r g), sym(l x_r h)> expands over the quadruple contractions."""
-    for i in range(cfg.trials):
-        seed, _, d, n, m = _draw(cfg, 4, i, (1, cfg.max_order), (1, cfg.max_order))
+    for seed, _, d, n, m in _instances(cfg, 4, (1, cfg.max_order), (1, cfg.max_order)):
         f, h, g, ell = _four_tensors(d, n, m, seed)
         for r in range(0, min(n - 1, m - 1) + 1):
             lhs = inner(symmetrize(contract(f, g, r)), symmetrize(contract(ell, h, r)))
@@ -241,8 +241,7 @@ def check_hat_expansion(cfg: VerifyConfig, rec: _Recorder):
 @_check("tensor")
 def check_hat_swap(cfg: VerifyConfig, rec: _Recorder):
     """Exchanging the roles (g, r) <-> (l, s) leaves the hat contraction fixed."""
-    for i in range(cfg.trials):
-        seed, _, d, n, m = _draw(cfg, 5, i, (1, cfg.max_order), (1, cfg.max_order))
+    for seed, _, d, n, m in _instances(cfg, 5, (1, cfg.max_order), (1, cfg.max_order)):
         f, h, g, ell = _four_tensors(d, n, m, seed)
         for r in range(0, min(n, m) + 1):
             for s in range(0, min(n, m) - r + 1):
@@ -254,8 +253,7 @@ def check_hat_swap(cfg: VerifyConfig, rec: _Recorder):
 @_check("tensor")
 def check_symmetrize_projection(cfg: VerifyConfig, rec: _Recorder):
     """symmetrize is idempotent and norm non-increasing."""
-    for i in range(cfg.trials):
-        seed, rng, d, n = _draw(cfg, 6, i, (0, cfg.max_order))
+    for seed, rng, d, n in _instances(cfg, 6, (0, cfg.max_order)):
         raw = Tensor(d, n, rng.standard_normal((d,) * n))
         s1 = symmetrize(raw)
         s2 = symmetrize(Tensor(d, n, s1.coeffs))
@@ -271,8 +269,7 @@ def check_symmetrize_projection(cfg: VerifyConfig, rec: _Recorder):
 @_check("chaos")
 def check_product_pointwise(cfg: VerifyConfig, rec: _Recorder):
     """The product formula is a polynomial identity: it holds at every point."""
-    for i in range(cfg.trials):
-        seed, rng, d, n, m = _draw(cfg, 11, i, (1, cfg.max_order), (1, cfg.max_order))
+    for seed, rng, d, n, m in _instances(cfg, 11, (1, cfg.max_order), (1, cfg.max_order)):
         F = ChaosExpansion.integral(random_symmetric(d, n, seed))
         G = ChaosExpansion.integral(random_symmetric(d, m, seed + 1))
         pts = rng.standard_normal((50, d))
@@ -285,8 +282,7 @@ def check_product_pointwise(cfg: VerifyConfig, rec: _Recorder):
 @_check("chaos", tol=1e-12)
 def check_isometry(cfg: VerifyConfig, rec: _Recorder):
     """E[I_n(f) I_m(g)] is 0 for n != m and n! <f, g> for n = m."""
-    for i in range(cfg.trials):
-        seed, _, d, n, m = _draw(cfg, 12, i, (1, cfg.max_order), (1, cfg.max_order))
+    for seed, _, d, n, m in _instances(cfg, 12, (1, cfg.max_order), (1, cfg.max_order)):
         f = random_symmetric(d, n, seed)
         g = random_symmetric(d, m, seed + 1)
         F, G = ChaosExpansion.integral(f), ChaosExpansion.integral(g)
@@ -300,16 +296,13 @@ def check_isometry(cfg: VerifyConfig, rec: _Recorder):
 @_check("chaos", tol=1e-12)
 def check_divergence_identity(cfg: VerifyConfig, rec: _Recorder):
     """divergence(derivative(I_n(f), 1)) = n I_n(f), tensor by tensor."""
-    for i in range(cfg.trials):
-        seed, _, d, n = _draw(cfg, 13, i, (1, max(cfg.max_order, 5)))
+    for seed, _, d, n in _instances(cfg, 13, (1, max(cfg.max_order, 5))):
         f = random_symmetric(d, n, seed)
         F = ChaosExpansion.integral(f)
         back = divergence(derivative(F, 1))
         target = n * f.coeffs
         got = back.terms[n].coeffs if n in back.terms else np.zeros_like(target)
-        dev = float(np.max(np.abs(got - target))) / max(
-            1.0, float(np.max(np.abs(target)))
-        )
+        dev = _max_rel_dev(got, target)
         extra = [k for k in back.terms if k != n]
         if extra:
             dev = max(dev, 1.0)
@@ -320,8 +313,7 @@ def check_divergence_identity(cfg: VerifyConfig, rec: _Recorder):
 def check_derivative_finite_difference(cfg: VerifyConfig, rec: _Recorder):
     """First-derivative coordinates match central differences of evaluate."""
     step = 1e-5
-    for i in range(cfg.trials):
-        seed, rng, d, n = _draw(cfg, 14, i, (1, cfg.max_order))
+    for seed, rng, d, n in _instances(cfg, 14, (1, cfg.max_order)):
         F = ChaosExpansion.integral(random_symmetric(d, n, seed)) + ChaosExpansion.constant(
             d, float(rng.standard_normal())
         )
@@ -387,8 +379,7 @@ def _rank_one(c: float, u: np.ndarray, n: int) -> Tensor:
 def check_orthogonal_rank_one(cfg: VerifyConfig, rec: _Recorder):
     """For orthonormal u, v, D^k I_n(a u^n) and D^k I_m(b v^m) are orthogonal,
     so E det^(k) = a^2 b^2 n!^2 m!^2 / ((n-k)! (m-k)!) at every k."""
-    for i in range(cfg.trials):
-        seed, rng, d, n, m = _draw(cfg, 28, i, (1, cfg.max_order), (1, cfg.max_order))
+    for seed, rng, d, n, m in _instances(cfg, 28, (1, cfg.max_order), (1, cfg.max_order)):
         # u, v: the Q of a Gaussian d x 2 matrix's QR, by Gram-Schmidt
         x, y = rng.standard_normal((2, d))
         u = x / np.linalg.norm(x)
@@ -408,8 +399,7 @@ def check_orthogonal_rank_one(cfg: VerifyConfig, rec: _Recorder):
 def check_closed_vs_symbolic(cfg: VerifyConfig, rec: _Recorder):
     """Closed form against the chaos-arithmetic oracle at every valid k."""
     top = (1, min(cfg.max_order, 4))
-    for i in range(cfg.trials):
-        seed, _, d, n, m = _draw(cfg, 21, i, top, top)
+    for seed, _, d, n, m in _instances(cfg, 21, top, top):
         pair = mal.random_pair(d, n, m, seed)
         for k, closed in enumerate(mal.expected_dets(pair), start=1):
             symbolic = mal.expected_det_chaos(pair, k)
@@ -421,8 +411,7 @@ def check_closed_vs_symbolic(cfg: VerifyConfig, rec: _Recorder):
 def check_sum_of_squares_pointwise(cfg: VerifyConfig, rec: _Recorder):
     """The squared-minor evaluation equals the evaluated symbolic determinant."""
     top = (1, min(cfg.max_order, 3))
-    for i in range(cfg.trials):
-        seed, rng, d, n, m = _draw(cfg, 22, i, top, top)
+    for seed, rng, d, n, m in _instances(cfg, 22, top, top):
         pair = mal.random_pair(d, n, m, seed)
         pts = rng.standard_normal((20, d))
         for k in range(1, min(n, m) + 1):
@@ -430,11 +419,7 @@ def check_sum_of_squares_pointwise(cfg: VerifyConfig, rec: _Recorder):
             sym = evaluate(mal.det_chaos(pair, k), pts)
             # compare against the polynomial's magnitude on the sample;
             # per-point quotients degenerate at roots of the determinant
-            scale = max(1.0, float(np.max(np.abs(sym))))
-            rec.add(
-                float(np.max(np.abs(sos - sym))) / scale,
-                f"sos d={d} n={n} m={m} k={k} seed={seed}",
-            )
+            rec.add(_max_rel_dev(sos, sym), f"sos d={d} n={n} m={m} k={k} seed={seed}")
             if np.any(sos < 0):
                 rec.add(1.0, f"negative sos d={d} n={n} m={m} k={k} seed={seed}")
 
@@ -442,8 +427,7 @@ def check_sum_of_squares_pointwise(cfg: VerifyConfig, rec: _Recorder):
 @_check("malliavin", tol=1e-10)
 def check_term_nonnegativity(cfg: VerifyConfig, rec: _Recorder):
     """Each correction term is a sum of squares, so never meaningfully negative."""
-    for i in range(cfg.trials):
-        seed, _, d, n, m = _draw(cfg, 23, i, (1, cfg.max_order), (1, cfg.max_order))
+    for seed, _, d, n, m in _instances(cfg, 23, (1, cfg.max_order), (1, cfg.max_order)):
         pair = mal.random_pair(d, n, m, seed)
         scale = _det_scale(pair)
         table = mal.ContractionTable(pair)
@@ -473,8 +457,7 @@ def check_direct_term_agreement(cfg: VerifyConfig, rec: _Recorder):
     """Each term T_r of the pair's table, T_0 included, matches its defining
     squared-minor form (tr_term_direct)."""
     top = (1, min(cfg.max_order, 3))
-    for i in range(cfg.trials):
-        seed, _, d, n, m = _draw(cfg, 24, i, top, top, dim=min(cfg.dim, 3))
+    for seed, _, d, n, m in _instances(cfg, 24, top, top, dim=min(cfg.dim, 3)):
         pair = mal.random_pair(d, n, m, seed)
         table = mal.ContractionTable(pair)
         for k in range(1, min(n, m) + 1):
@@ -490,8 +473,7 @@ def check_direct_term_agreement(cfg: VerifyConfig, rec: _Recorder):
 def check_top_term_formula(cfg: VerifyConfig, rec: _Recorder):
     """For n = m the top correction term reduces to two contraction pairings,
     and at k = n the whole determinant reduces to n!^2 det C."""
-    for i in range(cfg.trials):
-        seed, _, d, n = _draw(cfg, 25, i, (2, cfg.max_order))
+    for seed, _, d, n in _instances(cfg, 25, (2, cfg.max_order)):
         pair = mal.random_pair(d, n, n, seed)
         f, g = pair.f, pair.g
         table = mal.ContractionTable(pair)
@@ -512,8 +494,7 @@ def check_top_term_formula(cfg: VerifyConfig, rec: _Recorder):
 @_check("malliavin", tol=1e-12)
 def check_degeneracy(cfg: VerifyConfig, rec: _Recorder):
     """Proportional components zero out every k; generic pairs zero none."""
-    for i in range(cfg.trials):
-        seed, rng, d, n = _draw(cfg, 26, i, (1, cfg.max_order))
+    for seed, rng, d, n in _instances(cfg, 26, (1, cfg.max_order)):
         f = random_symmetric(d, n, seed)
         c = float(rng.uniform(0.5, 3.0))
         prop = mal.MalliavinPair(f, f.scaled(c))
@@ -537,8 +518,7 @@ def check_degeneracy(cfg: VerifyConfig, rec: _Recorder):
 def check_covariance_inequality(cfg: VerifyConfig, rec: _Recorder):
     """The determinant inequality, for n <= 4 E det^(1) >= c_n det C with
     c_n = 4, 9/4, 16/9."""
-    for i in range(cfg.trials):
-        seed, _, d, n = _draw(cfg, 27, i, (2, max(cfg.max_order, 5)))
+    for seed, _, d, n in _instances(cfg, 27, (2, max(cfg.max_order, 5))):
         pair = mal.random_pair(d, n, n, seed)
         res = mal.covariance_inequality(pair, tol_rel=cfg.tol_rel)
         margin = res.lhs - res.rhs
@@ -642,8 +622,4 @@ def run_suites(cfg: VerifyConfig, suites: list[str]) -> list[CheckResult]:
                 f"unknown suite(s) {unknown}; choose from {sorted(SUITES)} or 'all'"
             )
         selected = suites
-    results = []
-    for name in selected:
-        for check in SUITES[name]:
-            results.append(check(cfg))
-    return results
+    return [check(cfg) for name in selected for check in SUITES[name]]

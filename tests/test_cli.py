@@ -189,6 +189,20 @@ def anchor_file(tmp_path):
     return path
 
 
+def scaled_pair_file(tmp_path, s):
+    """d = 2, n = m = 2 orbit-layout pair with f = (1, 0.2, -0.3) s and
+    g = (0.1, 0.5, 0.7) s; at s = 1 its det C is 4.6476."""
+    def component(values):
+        indices = ([0, 0], [0, 1], [1, 1])
+        entries = [{"index": ix, "value": v * s} for ix, v in zip(indices, values)]
+        return {"dim": 2, "order": 2, "symmetric": True, "layout": "orbits", "entries": entries}
+
+    path = tmp_path / f"scaled_{s:g}.json"
+    f, g = component((1, 0.2, -0.3)), component((0.1, 0.5, 0.7))
+    path.write_text(json.dumps({"dim": 2, "n": 2, "m": 2, "f": f, "g": g}))
+    return path
+
+
 class TestEdet:
     def test_all_orders(self, pair_file, capsys):
         code, out, _ = run(capsys, "edet", "--pair", str(pair_file), "--k", "all")
@@ -320,7 +334,7 @@ class TestDensity:
                             lambda pair, tol_abs: replace(report, cov_det=float("nan")))
         code, out, err = run(capsys, "density", "--pair", str(pair_file))
         assert code == 2 and out == ""
-        assert "Out of range float values are not JSON compliant" in err
+        assert "report.cov_det is not finite; nothing was written" in err
 
     def test_inconsistent_report_exits_1(self, anchor_file, capsys):
         # E det = (12, 8): a zero threshold of 10 splits them
@@ -337,6 +351,31 @@ class TestDensity:
         code, _, err = run(capsys, "density", "--pair", str(path))
         assert code == 2
         assert "equal chaos orders" in err
+
+    @pytest.mark.parametrize("s,scale", [(1e-78, "4.68e-312"), (1e-100, "0"), (1e150, "inf")])
+    def test_unresolvable_scale_exits_2(self, s, scale, tmp_path, capsys):
+        # below the zero threshold's 1e-300 floor this pair used to read DEGENERATE
+        # beside two positive E dets, and at 1e-100 beside zeros that underflowed
+        code, out, err = run(capsys, "density", "--pair", str(scaled_pair_file(tmp_path, s)))
+        assert code == 2 and out == ""
+        assert f"scale n!^2 ||f||^2 ||g||^2 = {scale} is outside [1e-300, inf)" in err
+        assert "rescale f and g" in err
+
+    def test_unit_scale_is_absolutely_continuous(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "density", "--pair", str(scaled_pair_file(tmp_path, 1.0)))
+        assert code == 0
+        doc = strict_json(out)
+        assert doc["verdict"] == "ABSOLUTELY_CONTINUOUS" and doc["consistent"] is True
+
+    def test_zero_component_is_degenerate(self, tmp_path, capsys):
+        path = tmp_path / "zero.json"
+        run(capsys, "gen", "--dim", "2", "--order", "2", "--seed", "3",
+            "--proportional", "0", "-o", str(path))
+        code, out, _ = run(capsys, "density", "--pair", str(path))
+        assert code == 0
+        doc = strict_json(out)
+        assert doc["verdict"] == "DEGENERATE" and doc["consistent"] is True
+        assert doc["cov_det"] == 0.0
 
     def test_oversized_pair_file_exits_2(self, tmp_path, capsys):
         # each component would be 1000^4 doubles (7.3 TiB): refused before allocating
@@ -366,6 +405,19 @@ class TestMc:
         assert doc["closed_form"] == pytest.approx(12.0)
         assert doc["estimate"]["samples"] == 20000
         assert dump.exists()
+
+    @pytest.mark.parametrize("output", ["json", "csv"])
+    def test_non_finite_estimate_exits_2(self, output, tmp_path, capsys):
+        # at s = 1e150 the table and the samples overflow: the CSV form used to
+        # print 1,inf,nan,100,0,nan,False and exit 0
+        pair, dest = scaled_pair_file(tmp_path, 1e150), tmp_path / "report.out"
+        with pytest.warns(RuntimeWarning):  # overflow inside the table and the samples
+            code, out, err = run(capsys, "mc", "--pair", str(pair), "--samples", "100",
+                                 "--output", output, "-o", str(dest))
+        assert code == 2 and out == ""
+        assert err == ("chaoskit mc: error: report.estimate.mean is not finite; "
+                       "nothing was written\n")
+        assert not dest.exists()
 
     def test_invalid_k(self, anchor_file, capsys):
         code, _, _ = run(capsys, "mc", "--pair", str(anchor_file), "--k", "9")

@@ -686,8 +686,7 @@ def _term_nonnegativity_loop(cfg):
     """check_term_nonnegativity's worst deviation and failures read through
     expected_det_closed_form, one breakdown per k."""
     rec = verify._Recorder(1e-10)
-    for i in range(cfg.trials):
-        seed, _, d, n, m = verify._draw(cfg, 23, i, (1, cfg.max_order), (1, cfg.max_order))
+    for seed, _, d, n, m in verify._instances(cfg, 23, (1, cfg.max_order), (1, cfg.max_order)):
         pair = random_pair(d, n, m, seed)
         scale = verify._det_scale(pair)
         for k in range(1, min(n, m) + 1):
@@ -783,6 +782,19 @@ class TestCovarianceInequality:
         pair = MalliavinPair(basis_tensor(2, (0,)), basis_tensor(2, (1,)))
         with pytest.raises(ValueError):
             covariance_inequality(pair)
+
+    @pytest.mark.parametrize("s", [1e-78, 1e150])
+    def test_unresolvable_scale_refused_before_the_table(self, s, monkeypatch):
+        # n!^2 ||f||^2 ||g||^2 is 4.7e-312 at s = 1e-78 and inf at s = 1e150
+        f = tensor.Tensor(2, 2, s * np.array([[1.0, 0.2], [0.2, -0.3]]), symmetric=True)
+        g = tensor.Tensor(2, 2, s * np.array([[0.1, 0.5], [0.5, 0.7]]), symmetric=True)
+
+        def refuse(self, pair):
+            raise AssertionError("ContractionTable built")
+
+        monkeypatch.setattr(ContractionTable, "__init__", refuse)
+        with pytest.raises(ValueError, match=r"n!\^2 \|\|f\|\|\^2 \|\|g\|\|\^2 = .*rescale"):
+            covariance_inequality(MalliavinPair(f, g))
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
     def test_tol_must_be_finite_and_positive(self, tol):

@@ -34,9 +34,10 @@ def table_count(monkeypatch):
 class TestDraw:
     @pytest.mark.parametrize("dim", [None, 2, 4])
     def test_dim_then_each_order_range_in_turn(self, dim):
-        cfg = VerifyConfig(dim=5, seed=11)
-        for i in range(5):
-            seed, rng, d, n, m, q = verify._draw(cfg, 7, i, (0, 3), (2, 6), (1, 1), dim=dim)
+        cfg = VerifyConfig(dim=5, trials=5, seed=11)
+        drawn = list(verify._instances(cfg, 7, (0, 3), (2, 6), (1, 1), dim=dim))
+        assert len(drawn) == cfg.trials
+        for i, (seed, rng, d, n, m, q) in enumerate(drawn):
             assert seed == verify.instance_seed(11, 7, i)
             ref = np.random.default_rng(seed)
             assert d == int(ref.integers(2, (dim or 5) + 1))
