@@ -205,7 +205,7 @@ def _product(
     for r in range(min(n, m) + 1):
         coeff = math.factorial(r) * math.comb(n, r) * math.comb(m, r)
         axes = tuple(range(lead + r))
-        term = np.tensordot(x, y, axes=(axes, axes)) if axes else np.multiply.outer(x, y)
+        term = np.tensordot(x, y, axes=(axes, axes))
         k = n + m - 2 * r
         if min(n, m) > r:  # both operands keep free slots: not symmetric yet
             term = _orbit_average(term, x.shape[-1], k)
@@ -379,9 +379,8 @@ def evaluate(F: ChaosExpansion, xi):
     """
     pts, single = as_points(xi, F.dim)
     out = np.zeros(pts.shape[0])
-    if F.terms:
-        table = _hermite_table(F.max_order(), pts)
-        for k, t in F.terms.items():
-            sums, _ = _orbit_sums(t.coeffs, orbit_info(F.dim, k))
-            _accumulate(out, sums[0], _monomials(table, k))
+    table = _hermite_table(F.max_order(), pts)
+    for k, t in F.terms.items():
+        sums, _ = _orbit_sums(t.coeffs, orbit_info(F.dim, k))
+        _accumulate(out, sums[0], _monomials(table, k))
     return float(out[0]) if single else out

@@ -115,6 +115,17 @@ class MalliavinPair:
         checked_factorial(self.g.order)
         if not (self.f.symmetric and self.g.symmetric):
             raise ValueError("components must be symmetric tensors")
+        # det C and every E det grow like this scale: below 1e-300 or past a double
+        # they cannot be told from zero or from overflow.  It is exactly 0 for a
+        # zero component (det C = 0, allowed) or through underflow (refused)
+        f, g = self.f, self.g
+        scale = math.factorial(self.n) * math.factorial(self.m) * inner(f, f) * inner(g, g)
+        zero_component = scale == 0 and not (np.any(f.coeffs) and np.any(g.coeffs))
+        if not (zero_component or 1e-300 <= scale < math.inf):
+            raise ValueError(
+                f"the pair's scale n! m! ||f||^2 ||g||^2 = {scale:g} is outside"
+                " [1e-300, inf), where det C cannot be resolved; rescale f and g"
+            )
 
     @property
     def dim(self) -> int:
@@ -478,24 +489,16 @@ def _covariance(pair: MalliavinPair) -> tuple[float, float]:
     """(det C, its default zero threshold) from one set of inner products.
 
     det C = n!^2 (||f||^2 ||g||^2 - <f, g>^2) grows like n!^2 ||f||^2
-    ||g||^2, so det C is called zero at or below 1e-10 of that scale.  The
-    scale is floored at 1e-300 for a zero component; a pair of nonzero
-    components whose scale is below that floor, or not finite, is refused,
-    since its det C cannot be told from zero or from overflow.
+    ||g||^2, the scale MalliavinPair keeps resolvable, so det C is called
+    zero at or below 1e-10 of that scale (0 for a zero component, whose
+    det C is exactly 0).
     """
     n = _require_equal_orders(pair)
     nf2 = inner(pair.f, pair.f)
     ng2 = inner(pair.g, pair.g)
     fg = inner(pair.f, pair.g)
     fac2 = math.factorial(n) ** 2
-    scale = fac2 * nf2 * ng2
-    if not 1e-300 <= scale < math.inf:
-        if not math.isfinite(scale) or (np.any(pair.f.coeffs) and np.any(pair.g.coeffs)):
-            raise ValueError(
-                f"the pair's scale n!^2 ||f||^2 ||g||^2 = {scale:g} is outside"
-                " [1e-300, inf), where det C cannot be resolved; rescale f and g"
-            )
-    return fac2 * (nf2 * ng2 - fg * fg), 1e-10 * max(scale, 1e-300)
+    return fac2 * (nf2 * ng2 - fg * fg), 1e-10 * (fac2 * nf2 * ng2)
 
 
 def cov_det(pair: MalliavinPair) -> float:
@@ -543,7 +546,7 @@ def covariance_inequality(pair: MalliavinPair, tol_rel: float = 1e-9) -> Inequal
     if n < 2:
         raise ValueError(f"the inequality requires order n >= 2, got {n}")
     _check_tol("tol_rel", tol_rel)
-    c, zero = _covariance(pair)  # refuses an unresolvable scale before the table
+    c, zero = _covariance(pair)
     dets = expected_dets(pair)
     lhs = (n - 1) ** 2 * dets[0]
     for s in range(2, (n - 1) // 2 + 1):

@@ -12,7 +12,10 @@ Reductions accumulate fixed-size chunks in index order, so an estimate
 depends only on (seed, n_samples); the variance merges per-chunk means
 and squared deviations, which stays accurate when the mean is large
 against the spread.  Seeds must lie in [0, 2**128): the Philox key holds
-128 bits, so larger seeds would repeat smaller ones.
+128 bits, so larger seeds would repeat smaller ones.  Word w is read
+from block w // 4 of Philox's 256-bit counter, carried across all four
+of its 64-bit words, so sample words are exact up to 2**256 blocks,
+with no wrap at 2**128.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ DEFAULT_SAMPLES = 100_000
 # constant, not a parameter.
 CHUNK_SAMPLES = 8192
 
-_MASK64 = (1 << 64) - 1
 # Philox keys hold 128 bits: seeds s and s + 2**128 would draw the same samples
 _SEED_BOUND = 1 << 128
 _WORDS_PER_BLOCK = 4  # Philox-4x64
@@ -67,14 +69,9 @@ def _raw_words(seed: int, first_word: int, n_words: int) -> np.ndarray:
     """Philox output words [first_word, first_word + n_words) under seed."""
     first_block, offset = divmod(first_word, _WORDS_PER_BLOCK)
     n_blocks = (offset + n_words + _WORDS_PER_BLOCK - 1) // _WORDS_PER_BLOCK
-    key = [seed & _MASK64, (seed >> 64) & _MASK64]
-    counter = [
-        first_block & _MASK64,
-        (first_block >> 64) & _MASK64,
-        0,
-        0,
-    ]
-    bg = np.random.Philox(counter=counter, key=key)
+    # int key and delta, split into 64-bit words exactly: a list holding words both
+    # below and at or above 2**63 is read through float64, so nearby seeds alias
+    bg = np.random.Philox(key=seed).advance(first_block)
     words = bg.random_raw(n_blocks * _WORDS_PER_BLOCK)
     return words[offset : offset + n_words]
 

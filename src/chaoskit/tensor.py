@@ -197,16 +197,9 @@ class OrbitInfo(NamedTuple):
 @lru_cache(maxsize=None)
 def orbit_info(dim: int, order: int) -> OrbitInfo:
     """Orbit decomposition of the multi-index set [0,d)^n under permutation."""
-    if order == 0:
-        return OrbitInfo(
-            inverse=np.zeros(1, dtype=np.int64),
-            counts=np.ones(1, dtype=np.int64),
-            reps=np.zeros((1, 0), dtype=np.int64),
-            multiplicities=np.zeros((1, dim), dtype=np.int64),
-            positions=np.zeros(1, dtype=np.int64),
-        )
     _require_orbit_grid(dim, order)
-    grid = np.indices((dim,) * order).reshape(order, -1).T  # (d**n, n), C order
+    # (d**n, n), C order; an explicit d**n (not -1) makes order 0 one empty row
+    grid = np.indices((dim,) * order).reshape(order, dim**order).T
     key = np.sort(grid, axis=1)
     powers = dim ** np.arange(order, dtype=np.int64)
     codes = key @ powers
@@ -236,9 +229,8 @@ def _orbit_sums(arr: np.ndarray, info: OrbitInfo) -> tuple[np.ndarray, np.ndarra
     arr, which gathers per-orbit values back to arr's layout.
     """
     n_rows, n_orbits = arr.size // len(info.inverse), len(info.counts)
-    bins = info.inverse
-    if n_rows > 1:  # one bin per (row, orbit)
-        bins = (np.arange(n_rows)[:, None] * n_orbits + bins).ravel()
+    # one bin per (row, orbit): the orbit id plus the row's offset
+    bins = (info.inverse + np.arange(0, n_rows * n_orbits, n_orbits)[:, None]).ravel()
     sums = np.bincount(bins, weights=arr.ravel(), minlength=n_rows * n_orbits)
     return sums.reshape(n_rows, n_orbits), bins
 
@@ -247,10 +239,7 @@ def _orbit_average(arr: np.ndarray, dim: int, order: int) -> np.ndarray:
     """Average over index permutations of the trailing ``order`` axes of arr.
 
     Leading axes are a batch, averaged row by row (see ``_orbit_sums``).
-    Order <= 1 is returned as is.
     """
-    if order <= 1:
-        return arr
     info = orbit_info(dim, order)
     sums, bins = _orbit_sums(arr, info)
     return (sums / info.counts).ravel()[bins].reshape(arr.shape)
@@ -269,10 +258,8 @@ def symmetrize(f: Tensor) -> Tensor:
 
 def is_symmetric(f: Tensor, tol: float = 1e-12) -> bool:
     """Exhaustive numeric symmetry check (relative to the largest entry)."""
-    if f.order <= 1:
-        return True
     c = f.coeffs
-    scale = max(1.0, float(np.max(np.abs(c))) if c.size else 0.0)
+    scale = max(1.0, float(np.max(np.abs(c))))
     return bool(np.max(np.abs(c - _orbit_average(c, f.dim, f.order))) <= tol * scale)
 
 
@@ -301,9 +288,7 @@ def contract(f: Tensor, g: Tensor, r: int) -> Tensor:
     order = f.order + g.order - 2 * r
     _require_array_size("contraction", f.dim, order)
     axes = (tuple(range(r)), tuple(range(r)))
-    out = np.tensordot(f.coeffs, g.coeffs, axes=axes) if r else np.multiply.outer(
-        f.coeffs, g.coeffs
-    )
+    out = np.tensordot(f.coeffs, g.coeffs, axes=axes)
     if order <= 1:
         sym = True
     elif f.order - r == 0:

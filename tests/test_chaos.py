@@ -269,6 +269,12 @@ class TestEvaluate:
     def test_constant(self):
         assert evaluate(ChaosExpansion.constant(3, 7.5), np.zeros(3)) == 7.5
 
+    def test_empty_expansion_is_zero(self):
+        zero = ChaosExpansion(3, {})
+        assert evaluate(zero, np.ones(3)) == 0.0
+        out = evaluate(zero, np.ones((4, 3)))
+        assert out.shape == (4,) and out.tobytes() == np.zeros(4).tobytes()
+
     def test_batch_shape(self):
         F = I(random_symmetric(2, 2, 30))
         pts = np.random.default_rng(0).standard_normal((17, 2))

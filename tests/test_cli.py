@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import math
 import re
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ import chaoskit
 from chaoskit import cli
 from chaoskit.cli import main
 from chaoskit.io import load_pair
-from chaoskit.mc import DEFAULT_SAMPLES
+from chaoskit.mc import DEFAULT_SAMPLES, Estimate
 
 
 def run(capsys, *argv):
@@ -115,6 +116,16 @@ class TestGen:
         code, out, err = run(capsys, "gen", "--dim", "1", "--order", "21", "-o", str(path))
         assert code == 2 and out == ""
         assert err == "chaoskit gen: error: factorial argument 21 exceeds cap 20\n"
+        assert not path.exists()
+
+    def test_unresolvable_proportional_pair_exits_2(self, tmp_path, capsys):
+        # g = 1e300 f has ||g||^2 past a double: no file is written that no command
+        # could read
+        path = tmp_path / "p.json"
+        argv = ("gen", "--dim", "2", "--order", "2", "--proportional", "1e300")
+        code, out, err = run(capsys, *argv, "-o", str(path))
+        assert code == 2 and out == ""
+        assert "scale n! m! ||f||^2 ||g||^2 = inf is outside [1e-300, inf)" in err
         assert not path.exists()
 
     def test_order_g_checked_before_the_proportional_rule(self, tmp_path, capsys):
@@ -289,6 +300,17 @@ class TestEdet:
         assert len(rows) == 2
         assert float(rows[0]["closed_form"]) == pytest.approx(float(rows[0]["symbolic"]))
 
+    @pytest.mark.parametrize("s,scale", [(1e-100, "0"), (1e150, "inf")])
+    def test_unresolvable_scale_exits_2(self, s, scale, tmp_path, capsys):
+        # t0, closed_form and symbolic used to print as underflowed zeros (exit 0)
+        # at 1e-100, and to overflow with RuntimeWarnings at 1e150
+        code, out, err = run(capsys, "edet", "--pair", str(scaled_pair_file(tmp_path, s)))
+        assert code == 2 and out == ""
+        assert err == (
+            f"chaoskit edet: error: pair: the pair's scale n! m! ||f||^2 ||g||^2 = {scale} "
+            "is outside [1e-300, inf), where det C cannot be resolved; rescale f and g\n"
+        )
+
     def test_schema_violation(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"dim": 2}')
@@ -358,7 +380,7 @@ class TestDensity:
         # beside two positive E dets, and at 1e-100 beside zeros that underflowed
         code, out, err = run(capsys, "density", "--pair", str(scaled_pair_file(tmp_path, s)))
         assert code == 2 and out == ""
-        assert f"scale n!^2 ||f||^2 ||g||^2 = {scale} is outside [1e-300, inf)" in err
+        assert f"scale n! m! ||f||^2 ||g||^2 = {scale} is outside [1e-300, inf)" in err
         assert "rescale f and g" in err
 
     def test_unit_scale_is_absolutely_continuous(self, tmp_path, capsys):
@@ -407,17 +429,30 @@ class TestMc:
         assert dump.exists()
 
     @pytest.mark.parametrize("output", ["json", "csv"])
-    def test_non_finite_estimate_exits_2(self, output, tmp_path, capsys):
-        # at s = 1e150 the table and the samples overflow: the CSV form used to
-        # print 1,inf,nan,100,0,nan,False and exit 0
-        pair, dest = scaled_pair_file(tmp_path, 1e150), tmp_path / "report.out"
-        with pytest.warns(RuntimeWarning):  # overflow inside the table and the samples
-            code, out, err = run(capsys, "mc", "--pair", str(pair), "--samples", "100",
-                                 "--output", output, "-o", str(dest))
+    def test_non_finite_estimate_exits_2(self, output, anchor_file, tmp_path, capsys,
+                                         monkeypatch):
+        # the CSV form used to print 1,inf,nan,100,0,nan,False and exit 0
+        monkeypatch.setattr(cli, "estimate_expected_det",
+                            lambda pair, k, n_samples, seed, dump_path: Estimate(
+                                math.inf, math.nan, n_samples, seed))
+        dest = tmp_path / "report.out"
+        code, out, err = run(capsys, "mc", "--pair", str(anchor_file), "--samples", "100",
+                             "--output", output, "-o", str(dest))
         assert code == 2 and out == ""
         assert err == ("chaoskit mc: error: report.estimate.mean is not finite; "
                        "nothing was written\n")
         assert not dest.exists()
+
+    @pytest.mark.parametrize("s,scale", [(1e-100, "0"), (1e150, "inf")])
+    def test_unresolvable_scale_exits_2_before_sampling(self, s, scale, tmp_path, capsys):
+        # at 1e-100 this printed mean 0, stderr 0 and within_4_stderr true (exit 0);
+        # at 1e150 it drew every sample before refusing the non-finite mean
+        dump = tmp_path / "raw.csv"
+        code, out, err = run(capsys, "mc", "--pair", str(scaled_pair_file(tmp_path, s)),
+                             "--samples", "20000", "--dump", str(dump))
+        assert code == 2 and out == ""
+        assert f"scale n! m! ||f||^2 ||g||^2 = {scale} is outside [1e-300, inf)" in err
+        assert not dump.exists()
 
     def test_invalid_k(self, anchor_file, capsys):
         code, _, _ = run(capsys, "mc", "--pair", str(anchor_file), "--k", "9")

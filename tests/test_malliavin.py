@@ -785,7 +785,7 @@ class TestCovarianceInequality:
 
     @pytest.mark.parametrize("s", [1e-78, 1e150])
     def test_unresolvable_scale_refused_before_the_table(self, s, monkeypatch):
-        # n!^2 ||f||^2 ||g||^2 is 4.7e-312 at s = 1e-78 and inf at s = 1e150
+        # n! m! ||f||^2 ||g||^2 is 4.7e-312 at s = 1e-78 and inf at s = 1e150
         f = tensor.Tensor(2, 2, s * np.array([[1.0, 0.2], [0.2, -0.3]]), symmetric=True)
         g = tensor.Tensor(2, 2, s * np.array([[0.1, 0.5], [0.5, 0.7]]), symmetric=True)
 
@@ -793,7 +793,7 @@ class TestCovarianceInequality:
             raise AssertionError("ContractionTable built")
 
         monkeypatch.setattr(ContractionTable, "__init__", refuse)
-        with pytest.raises(ValueError, match=r"n!\^2 \|\|f\|\|\^2 \|\|g\|\|\^2 = .*rescale"):
+        with pytest.raises(ValueError, match=r"n! m! \|\|f\|\|\^2 \|\|g\|\|\^2 = .*rescale"):
             covariance_inequality(MalliavinPair(f, g))
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])

@@ -254,3 +254,43 @@ class TestSamplerReference:
         monkeypatch.setattr(mc, "sample_gaussian_block", reference_sample_gaussian_block)
         ref = estimate_expected_det(pair, k, n_samples=samples, seed=17)
         assert (got.mean.hex(), got.stderr.hex()) == (ref.mean.hex(), ref.stderr.hex())
+
+
+# -- the Philox words against the hand-assembled counter they replaced ----------
+
+
+def reference_raw_words(seed, first_word, n_words):
+    """Words [first_word, first_word + n_words) from a Philox built on the
+    hand-assembled 4-word counter and 2-word key, which drops the carry past
+    block 2**128.  The words go in as uint64 arrays: a list of Python ints
+    holding words both below and at or above 2**63 is read through float64."""
+    mask = 2**64 - 1
+    first_block, offset = divmod(first_word, 4)
+    n_blocks = (offset + n_words + 3) // 4
+    counter = np.array([first_block & mask, (first_block >> 64) & mask, 0, 0], dtype=np.uint64)
+    key = np.array([seed & mask, seed >> 64], dtype=np.uint64)
+    words = np.random.Philox(counter=counter, key=key).random_raw(n_blocks * 4)
+    return words[offset : offset + n_words]
+
+
+class TestRawWords:
+    @pytest.mark.parametrize("seed", [0, 2**63 + 1, 2**64 + 1, 2**128 - 1])
+    @pytest.mark.parametrize("first_word", [0, 10**12, 2**66 + 3])
+    def test_matches_the_counter_assembly(self, seed, first_word):
+        for n_words in (0, 1, 7, 9):
+            got = mc._raw_words(seed, first_word, n_words)
+            assert got.tobytes() == reference_raw_words(seed, first_word, n_words).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_no_alias_past_block_2_128(self, dim):
+        # a sample reads 2 * ceil(dim / 2) words, four to a block: without the
+        # carry, sample i and sample i + 2**130 / words were the same draw
+        words = 2 * ((dim + 1) // 2)
+        far = 5 + 2**128 * 4 // words
+        assert not np.array_equal(sample_gaussian(dim, 7, 5), sample_gaussian(dim, 7, far))
+
+    @pytest.mark.parametrize("seed, step", [(2**63, 1), (2**127, 2**64)])
+    def test_neighbouring_seeds_past_2_63_differ(self, seed, step):
+        # a key word at or above 2**63 in a Python list went through float64, so
+        # seed + 1 (low word) or seed + 2**64 (high word) drew seed's samples
+        assert not np.array_equal(sample_gaussian(3, seed, 0), sample_gaussian(3, seed + step, 0))

@@ -92,6 +92,12 @@ class TestTensorProduct:
         with pytest.raises(ValueError):
             tensor_product(basis_tensor(2, (0,)), basis_tensor(3, (0,)))
 
+    @pytest.mark.parametrize("n, m", [(0, 2), (1, 1), (2, 3), (3, 0)])
+    def test_contract_zero_is_the_outer_product_bit_for_bit(self, n, m):
+        f, g = sym_pair(3, n, m, 13)
+        want = np.multiply.outer(f.coeffs, g.coeffs)
+        assert contract(f, g, 0).coeffs.tobytes() == want.tobytes()
+
 
 class TestContract:
     def test_elementary_r1(self):
@@ -145,6 +151,13 @@ class TestSymmetrize:
         s = symmetrize(p)
         assert s.coeffs[0, 1] == pytest.approx(0.5)
         assert s.coeffs[1, 0] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_orders_below_two_keep_their_bytes(self, order):
+        raw = Tensor(3, order, np.random.default_rng(order).standard_normal((3,) * order))
+        s = symmetrize(raw)
+        assert s.symmetric and s.coeffs.tobytes() == raw.coeffs.tobytes()
+        assert is_symmetric(raw)
 
     def test_idempotent(self):
         raw = Tensor(3, 3, np.random.default_rng(0).standard_normal((3, 3, 3)))
@@ -318,6 +331,17 @@ class TestOrbitInfo:
         monkeypatch.setattr(tensor, "MAX_ARRAY_BYTES", grid)
         assert len(orbit_info(7, 5).inverse) == 7**5
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_order_zero_is_one_empty_orbit(self, dim):
+        info = orbit_info(dim, 0)
+        want = {
+            "inverse": np.zeros(1), "counts": np.ones(1), "reps": np.zeros((1, 0)),
+            "multiplicities": np.zeros((1, dim)), "positions": np.zeros(1),
+        }
+        for name, value in want.items():
+            got = getattr(info, name)
+            assert got.dtype == np.int64 and got.shape == value.shape, name
+            assert np.array_equal(got, value), name
 
     @pytest.mark.parametrize("dim", range(1, 5))
     def test_positions_are_the_row_major_positions_of_the_reps(self, dim):
