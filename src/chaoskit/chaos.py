@@ -33,6 +33,7 @@ import numpy as np
 
 from .tensor import (
     Tensor,
+    _contract_leading,
     _orbit_average,
     _orbit_sums,
     _require_array_size,
@@ -204,8 +205,7 @@ def _product(
         _require_array_size("product", slots[0], len(slots))
     for r in range(min(n, m) + 1):
         coeff = math.factorial(r) * math.comb(n, r) * math.comb(m, r)
-        axes = tuple(range(lead + r))
-        term = np.tensordot(x, y, axes=(axes, axes))
+        term = _contract_leading(x, y, lead + r)
         k = n + m - 2 * r
         if min(n, m) > r:  # both operands keep free slots: not symmetric yet
             term = _orbit_average(term, x.shape[-1], k)

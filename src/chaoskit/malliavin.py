@@ -51,6 +51,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import tensor
 from .chaos import (
     ChaosExpansion,
     _accumulate,
@@ -180,7 +181,7 @@ def gram_chaos(
     permutation orbit.  So the coordinates at the p orbit representatives
     are stacked, (p, d, ..., d) per component, one side is weighted by
     orbit size, and each Gram entry is the product formula summed over
-    the representative axis: for every r one tensordot over that axis
+    the representative axis: for every r one contraction over that axis
     plus r slots, then one symmetrization.  Independent of the closed
     form: it is chaos arithmetic on the coordinates, with no contraction
     norm, hat contraction or T_r identity.
@@ -267,44 +268,35 @@ def _merge(dim: int, p: int, q: int) -> np.ndarray:
     return orbit_info(dim, p + q).inverse[a[:, None] * dim**q + b]
 
 
-def _swap_plan(dim: int, p: int, q: int, s: int) -> tuple[np.ndarray, ...]:
-    """Flat indices ix, iy into an (N(p), N(q)) orbit matrix c and weights w,
-    so that w @ (c[ix] * c[iy]) is the sum of c[a1+a2, b1+b2] c[b1+a2, a1+b2]
-    over every index tuple, a1 and b1 of length s: axes (a1, a2, b1, b2)
-    run over orbits, each weighted by its size."""
-    ma, mb = _merge(dim, s, p - s), _merge(dim, s, q - s)
-    nq = math.comb(dim + q - 1, q)  # N(d, q), the orbits of [0, d)^q
-    ix = ma[:, :, None, None] * nq + mb[None, None]
-    iy = ma.T[None, :, :, None] * nq + mb[:, None, None, :]
-    cs, ca, cb = (orbit_info(dim, o).counts.astype(np.float64) for o in (s, p - s, q - s))
-    w = np.multiply.outer(np.multiply.outer(cs, ca), np.multiply.outer(cs, cb))
-    return ix.ravel(), iy.ravel(), w.ravel()
-
-
-@lru_cache(maxsize=128)  # plans kept for this many shapes (d, n, m)
-def _table_plan(d: int, n: int, m: int) -> tuple[str, tuple[int, ...], tuple[tuple, ...]]:
+@lru_cache(maxsize=128)  # plans kept for this many keys (d, n, m, cap)
+def _table_plan(d: int, n: int, m: int, cap: int) -> tuple[tuple, ...]:
     """What a ContractionTable of shape (d, n, m) reads besides the values
-    of f and g: the name its size errors give, the byte size of each of its
-    arrays in the order they are checked, and per r >= 1 the row (r, F_r
-    gather, G_r gather, orbit sizes of r, n-r and m-r, ((s, ix, iy, w) per
-    s >= 1)).  Each size is checked against MAX_ARRAY_BYTES before its
-    array is built, so a refusal caches nothing."""
+    of f and g: per r >= 1 the row (r, F_r gather, G_r gather, orbit sizes
+    of r, n-r and m-r, ((s, ix, iy, w) per s >= 1)).  With c the flat
+    orbit matrix of C_r, w @ (c[ix] * c[iy]) is C_r against itself with s
+    f-slots and s g-slots swapped: ix reads x[a1, a2, b1, b2] = c[a1 + a2,
+    b1 + b2], a1 and b1 of size s, iy is that gather with a1 and b1
+    transposed, and w weights each orbit tuple by its size.  cap is
+    MAX_ARRAY_BYTES at the call, so a lowered cap builds its own plan:
+    each array size is checked against it before the array is built, and
+    a refusal caches nothing."""
     what = f"contraction table: dim {d} and orders ({n}, {m})"
-    sizes, rows = [], []
+    rows = []
     orbits = [math.comb(d + o - 1, o) for o in range(max(n, m) + 1)]  # N(d, o)
     for r in range(1, min(n, m) + 1):
         p, q = n - r, m - r
-        # F_r, G_r and C_r, then each swap plan of C_r
-        sizes.append(8 * max(max(orbits[p], orbits[q]) * orbits[r], orbits[p] * orbits[q]))
-        _require_bytes(what, sizes[-1])
+        # F_r, G_r and C_r, then each swap of C_r
+        _require_bytes(what, 8 * max(max(orbits[p], orbits[q]) * orbits[r], orbits[p] * orbits[q]))
         row = (r, _merge(d, p, r), _merge(d, q, r), *(orbit_info(d, o).counts for o in (r, p, q)))
         swaps = []
         for s in range(1, min(r, p, q) + 1):
-            sizes.append(8 * orbits[s] ** 2 * orbits[p - s] * orbits[q - s])
-            _require_bytes(what, sizes[-1])
-            swaps.append((s, *_swap_plan(d, p, q, s)))
+            _require_bytes(what, 8 * orbits[s] ** 2 * orbits[p - s] * orbits[q - s])
+            ix = _merge(d, s, p - s)[:, :, None, None] * orbits[q] + _merge(d, s, q - s)
+            cs, ca, cb = (orbit_info(d, o).counts.astype(np.float64) for o in (s, p - s, q - s))
+            w = np.multiply.outer(np.multiply.outer(cs, ca), np.multiply.outer(cs, cb))
+            swaps.append((s, ix.ravel(), ix.transpose(2, 1, 0, 3).ravel(), w.ravel()))
         rows.append((*row, tuple(swaps)))
-    return what, tuple(sizes), tuple(rows)
+    return tuple(rows)
 
 
 class ContractionTable:
@@ -321,13 +313,14 @@ class ContractionTable:
     representatives, read once), and M_r the orbit sizes of the c.  Every
     hat is then a sum over orbits weighted by orbit sizes: ||C_r||^2 =
     w_a @ (C_r * C_r) @ w_b, and for s >= 1 one weighted dot of two
-    gathers of C_r (see _swap_plan).  hats[(r, s)] = hats[(s, r)] (the
-    swap identity) is read off the smaller contraction, so the r = 0 row
-    is the norms ||C_s||^2, with ||C_0||^2 = ||f||^2 ||g||^2 so the outer
-    product is never built.  The gathers, orbit sizes and array sizes depend
-    only on the shape (d, n, m) and are cached as one plan (_table_plan).
-    Every array size is checked against the current MAX_ARRAY_BYTES on
-    every call, cached plan or not, before any C_r is formed, and no
+    gathers of C_r, the second the first with the swapped slots
+    transposed.  hats[(r, s)] = hats[(s, r)] (the swap identity) is read
+    off the smaller contraction, so the r = 0 row is the norms ||C_s||^2,
+    with ||C_0||^2 = ||f||^2 ||g||^2 so the outer product is never built.
+    The gathers and orbit sizes depend only on the shape (d, n, m) and are
+    cached as one plan per shape and cap (_table_plan), whose array sizes
+    are checked against MAX_ARRAY_BYTES as it is built, before any C_r is
+    formed; a lowered cap builds (and refuses) a plan of its own.  No
     array is larger than the dense array it stands for (f, g, or the
     d^(n+m-2r) entries of C_r).  A table lives for one call; nothing is
     stored on the pair.
@@ -339,10 +332,7 @@ class ContractionTable:
         self.hats = hats = {(0, 0): inner(pair.f, pair.f) * inner(pair.g, pair.g)}
         # each component's orbit vector: its value at every representative
         f, g = (t.coeffs.ravel()[orbit_info(d, t.order).positions] for t in (pair.f, pair.g))
-        what, sizes, rows = _table_plan(d, n, m)
-        for nbytes in sizes:  # the cap may have been lowered since the plan was cached
-            _require_bytes(what, nbytes)
-        for r, fr, gr, mr, mp, mq, swaps in rows:
+        for r, fr, gr, mr, mp, mq, swaps in _table_plan(d, n, m, tensor.MAX_ARRAY_BYTES):
             c = (f[fr] * mr) @ g[gr].T
             hats[(r, 0)] = hats[(0, r)] = float(mp @ (c * c) @ mq)
             c = c.ravel()

@@ -15,7 +15,8 @@ against the spread.  Seeds must lie in [0, 2**128): the Philox key holds
 128 bits, so larger seeds would repeat smaller ones.  Word w is read
 from block w // 4 of Philox's 256-bit counter, carried across all four
 of its 64-bit words, so sample words are exact up to 2**256 blocks,
-with no wrap at 2**128.
+with no wrap at 2**128.  Samples that would read words past block 2**256
+are refused, not wrapped back to block 0.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ CHUNK_SAMPLES = 8192
 # Philox keys hold 128 bits: seeds s and s + 2**128 would draw the same samples
 _SEED_BOUND = 1 << 128
 _WORDS_PER_BLOCK = 4  # Philox-4x64
+# the 256-bit block counter wraps after this many words
+_WORD_BOUND = _WORDS_PER_BLOCK << 256
 
 
 @dataclass(frozen=True)
@@ -99,6 +102,11 @@ def sample_gaussian_block(dim: int, seed: int, start: int, count: int) -> np.nda
     if start < 0 or count < 0:
         raise ValueError("start and count must be >= 0")
     pairs = (dim + 1) // 2  # two uniforms per pair of normals
+    if (start + count) * 2 * pairs > _WORD_BOUND:
+        raise ValueError(
+            f"sample indices [{start}, {start + count}) at dim {dim} need Philox "
+            f"words past block 2**256: indices must lie below {_WORD_BOUND // (2 * pairs)}"
+        )
     words = _raw_words(seed, start * 2 * pairs, count * 2 * pairs)
     words >>= np.uint64(11)  # 53-bit mantissas
     # rows (u1, u2) of shape (pairs, count): every log/cos/sin reads contiguous memory

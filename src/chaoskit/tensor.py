@@ -271,6 +271,16 @@ def tensor_product(f: Tensor, g: Tensor) -> Tensor:
     return contract(f, g, 0)
 
 
+def _contract_leading(x: np.ndarray, y: np.ndarray, r: int) -> np.ndarray:
+    """Sum over the first r axes of C-ordered x and y, x's remaining axes
+    first: np.tensordot(x, y, axes=(range(r), range(r))), bit for bit,
+    without its axis bookkeeping.  The transposed view stays F-ordered, as
+    it is the matrix np.tensordot hands to np.dot; a C-ordered copy would
+    change the rounding."""
+    k = math.prod(x.shape[:r])
+    return np.dot(x.reshape(k, -1).T, y.reshape(k, -1)).reshape(x.shape[r:] + y.shape[r:])
+
+
 def contract(f: Tensor, g: Tensor, r: int) -> Tensor:
     """Contraction of order r: sum over the first r slots of each operand.
 
@@ -287,8 +297,7 @@ def contract(f: Tensor, g: Tensor, r: int) -> Tensor:
         raise ValueError("contraction with r > 0 requires symmetric operands")
     order = f.order + g.order - 2 * r
     _require_array_size("contraction", f.dim, order)
-    axes = (tuple(range(r)), tuple(range(r)))
-    out = np.tensordot(f.coeffs, g.coeffs, axes=axes)
+    out = _contract_leading(f.coeffs, g.coeffs, r)
     if order <= 1:
         sym = True
     elif f.order - r == 0:
@@ -358,9 +367,8 @@ def hat_contract(
     if r < 0 or s < 0 or r + s > min(n, m):
         raise ValueError(f"(r, s) = ({r}, {s}) out of range: need r + s <= {min(n, m)}")
     _require_array_size("hat contraction", f.dim, n + m - 2 * r)
-    axes = (tuple(range(r)), tuple(range(r)))
-    a = np.tensordot(f.coeffs, g.coeffs, axes=axes)  # slots f: s | n-r-s, g: s | m-r-s
-    b = np.tensordot(ell.coeffs, h.coeffs, axes=axes)  # ell: s | m-r-s, h: s | n-r-s
+    a = _contract_leading(f.coeffs, g.coeffs, r)  # slots f: s | n-r-s, g: s | m-r-s
+    b = _contract_leading(ell.coeffs, h.coeffs, r)  # ell: s | m-r-s, h: s | n-r-s
     p = m - r  # ell slots of b; put b's slots in a's order
     perm = (*range(s), *range(p + s, n + m - 2 * r), *range(p, p + s), *range(s, p))
     return float(np.vdot(a, b.transpose(perm)))

@@ -469,6 +469,32 @@ class TestContractionTable:
         assert peak < 4 * 2**20
 
 
+def reference_swap_plan(dim, p, q, s):
+    """The swap gathers and weights as two hand-built index formulas, the
+    reference for the plan's ix and its transpose iy."""
+    ma, mb = malliavin._merge(dim, s, p - s), malliavin._merge(dim, s, q - s)
+    nq = math.comb(dim + q - 1, q)  # N(d, q), the orbits of [0, d)^q
+    ix = ma[:, :, None, None] * nq + mb[None, None]
+    iy = ma.T[None, :, :, None] * nq + mb[:, None, None, :]
+    cs, ca, cb = (orbit_info(dim, o).counts.astype(np.float64) for o in (s, p - s, q - s))
+    w = np.multiply.outer(np.multiply.outer(cs, ca), np.multiply.outer(cs, cb))
+    return ix.ravel(), iy.ravel(), w.ravel()
+
+
+# every shape with d <= 4 and n, m <= 6 (d^max(n, m) <= 4096 coefficients)
+@pytest.mark.parametrize("d", range(1, 5))
+def test_swap_plans_match_the_index_formulas(d):
+    for n, m in itertools.product(range(1, 7), repeat=2):
+        rows = malliavin._table_plan(d, n, m, tensor.MAX_ARRAY_BYTES)
+        assert [row[0] for row in rows] == list(range(1, min(n, m) + 1))
+        for r, *_, swaps in rows:
+            p, q = n - r, m - r
+            assert [s for s, *_ in swaps] == list(range(1, min(r, p, q) + 1))
+            for s, *plan in swaps:
+                for got, want in zip(plan, reference_swap_plan(d, p, q, s)):
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (d, n, m, r, s)
+
+
 # (d, n, m, seed) -> float.hex() of expected_dets and of hats[(r, s)] for
 # r <= s in key order, taken when the table gathered F_r and G_r from the
 # dense coefficients; reading them from the orbit vectors moves no bit
@@ -961,14 +987,22 @@ class TestTableSizeCap:
         # at (3, 3, 3) the arrays need 288, 648, 144, 72 and 80 bytes in the
         # order checked: the first one over the cap is named, not the largest
         pair = random_pair(3, 3, 3, 4)
+        real = tensor.MAX_ARRAY_BYTES
         expected_dets(pair)  # caches the plan under the real cap
         monkeypatch.setattr(tensor, "MAX_ARRAY_BYTES", cap)
-        hits = malliavin._table_plan.cache_info().hits
+        before = malliavin._table_plan.cache_info()
         with pytest.raises(ValueError, match=rf"^contraction table: dim 3 and orders \(3, 3\) "
                                              rf"need {nbytes} bytes, above the cap of {cap} "
                                              r"bytes$"):
             expected_dets(pair)
-        assert malliavin._table_plan.cache_info().hits == hits + 1
+        # the lowered cap is a key of its own: a miss, and the refusal caches nothing
+        after = malliavin._table_plan.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses + 1)
+        assert after.currsize == before.currsize
+        # restoring the cap finds the plan cached under it
+        monkeypatch.setattr(tensor, "MAX_ARRAY_BYTES", real)
+        expected_dets(pair)
+        assert malliavin._table_plan.cache_info().hits == after.hits + 1
 
 
 class TestOracleSizeCap:

@@ -294,3 +294,19 @@ class TestRawWords:
         # a key word at or above 2**63 in a Python list went through float64, so
         # seed + 1 (low word) or seed + 2**64 (high word) drew seed's samples
         assert not np.array_equal(sample_gaussian(3, seed, 0), sample_gaussian(3, seed + step, 0))
+
+    @pytest.mark.parametrize("dim, bound", [(2, 2**257), (3, 2**256)])
+    def test_refuses_words_past_block_2_256(self, dim, bound):
+        # Philox's 256-bit counter wraps: advance(2**256) lands on block 0, so
+        # index 2**257 at dim 2 (two words a sample) drew index 0's sample
+        last = sample_gaussian(dim, 7, bound - 1)
+        assert last.shape == (dim,) and np.isfinite(last).all()
+        # its words come from the last block, 2**256 - 1
+        top = np.random.Philox(counter=[np.uint64(2**64 - 1)] * 4, key=[7, 0]).random_raw(4)
+        assert mc._raw_words(7, 4 * 2**256 - 4, 4).tobytes() == top.tobytes()
+        with pytest.raises(ValueError, match=rf"^sample indices \[{bound}, {bound + 1}\) at dim "
+                                             rf"{dim} need Philox words past block 2\*\*256: "
+                                             rf"indices must lie below {bound}$"):
+            sample_gaussian(dim, 7, bound)
+        with pytest.raises(ValueError, match=r"past block 2\*\*256"):
+            sample_gaussian_block(dim, 7, bound - 1, 2)

@@ -8,6 +8,7 @@ import pytest
 
 from chaoskit.tensor import (
     Tensor,
+    _contract_leading,
     basis_tensor,
     contract,
     hat_contract,
@@ -143,6 +144,39 @@ class TestContract:
         c = out.coeffs
         assert np.allclose(c, c.transpose(1, 0, 2, 3))
         assert np.allclose(c, c.transpose(0, 1, 3, 2))
+
+
+def _leading_cases():
+    """(x, y, r) over d 1-4, orders 0-5 and every r, plain and with a leading
+    batch axis of 3 contracted too (as chaos._product contracts its lead)."""
+    rng = np.random.default_rng(26)
+    for d, n, m, batch in itertools.product(range(1, 5), range(6), range(6), (False, True)):
+        lead = (3,) if batch else ()
+        x = rng.standard_normal(lead + (d,) * n)
+        y = rng.standard_normal(lead + (d,) * m)
+        for r in range(min(n, m) + 1):
+            yield x, y, len(lead) + r
+
+
+class TestContractLeading:
+    def test_matches_tensordot_bit_for_bit(self):
+        # a C-ordered copy of the transposed matrix is the negative control:
+        # np.dot rounds it differently, and the comparison must see that
+        def c_ordered(x, y, r):
+            k = math.prod(x.shape[:r])
+            xt = np.ascontiguousarray(x.reshape(k, -1).T)
+            return np.dot(xt, y.reshape(k, -1)).reshape(x.shape[r:] + y.shape[r:])
+
+        cases = control_misses = 0
+        for x, y, r in _leading_cases():
+            want = np.tensordot(x, y, axes=(tuple(range(r)), tuple(range(r))))
+            got = _contract_leading(x, y, r)
+            assert got.shape == want.shape, (x.shape, y.shape, r)
+            assert got.tobytes() == want.tobytes(), (x.shape, y.shape, r)
+            control_misses += c_ordered(x, y, r).tobytes() != want.tobytes()
+            cases += 1
+        assert cases == 728
+        assert control_misses > 0
 
 
 class TestSymmetrize:
