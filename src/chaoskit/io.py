@@ -81,11 +81,11 @@ def _row_major(dim: int, order: int) -> np.ndarray:
     return dim ** np.arange(order - 1, -1, -1)
 
 
-def _orbit_entries(t: Tensor):
-    """The representative indices and values of t's orbits in row-major
-    order, when t is written by orbit: flagged symmetric, of order >= 2,
-    every entry bit-equal to its orbit representative's, and its orbit
-    grid within the cap.  None otherwise."""
+def _orbit_positions(t: Tensor) -> Optional[np.ndarray]:
+    """The flat positions of t's orbit representatives in row-major order,
+    when t is written by orbit: flagged symmetric, of order >= 2, every
+    entry bit-equal to its orbit representative's, and its orbit grid
+    within the cap.  None otherwise."""
     if not t.symmetric or t.order < 2:
         return None
     try:
@@ -94,27 +94,25 @@ def _orbit_entries(t: Tensor):
         return None
     info = orbit_info(t.dim, t.order)
     flat = t.coeffs.ravel()
-    pos = info.positions
-    if not np.array_equal(flat.view(np.int64), flat[pos][info.inverse].view(np.int64)):
+    if not np.array_equal(flat.view(np.int64), flat[info.positions][info.inverse].view(np.int64)):
         return None
-    first = np.argsort(pos)
-    return info.reps[first], flat[pos[first]]
+    return np.sort(info.positions)
 
 
 def _tensor_to_dict(t: Tensor) -> dict:
-    """A pair component (order >= 1, as MalliavinPair requires)."""
+    """A pair component (order >= 1, as MalliavinPair requires): its nonzero
+    entries among the listed positions, in row-major order."""
     doc = {"dim": t.dim, "order": t.order, "symmetric": bool(t.symmetric)}
-    by_orbit = _orbit_entries(t)
-    if by_orbit is None:
-        nz = np.nonzero(t.coeffs)  # row-major order
-        index, values = np.transpose(nz), t.coeffs[nz]
+    flat = t.coeffs.ravel()
+    pos = _orbit_positions(t)
+    if pos is None:
+        pos = np.flatnonzero(flat)
     else:
         doc["layout"] = "orbits"
-        index, values = by_orbit
-        keep = values != 0
-        index, values = index[keep], values[keep]
+    pos = pos[flat[pos] != 0]
+    index = np.transpose(np.unravel_index(pos, t.coeffs.shape))
     doc["entries"] = [
-        {"index": i, "value": v} for i, v in zip(index.tolist(), values.tolist())
+        {"index": i, "value": v} for i, v in zip(index.tolist(), flat[pos].tolist())
     ]
     return doc
 
@@ -159,17 +157,14 @@ def _tensor_from_dict(obj: dict) -> Tensor:
     if by_orbit:
         _require_orbit_grid(dim, order, SchemaError)
     index, values = _entry_arrays(entries, dim, order)
-    pos = index @ _row_major(dim, order)
-    # a repeated index keeps its last value in file order
     if by_orbit:
         _require_representatives(index)
+    coeffs = np.zeros(dim**order)
+    # a repeated index keeps its last value in file order
+    coeffs[index @ _row_major(dim, order)] = values
+    if by_orbit:  # spread each representative's value over its orbit
         info = orbit_info(dim, order)
-        orbit_values = np.zeros(len(info.counts))
-        orbit_values[info.inverse[pos]] = values
-        coeffs = orbit_values[info.inverse]
-    else:
-        coeffs = np.zeros(dim**order)
-        coeffs[pos] = values
+        coeffs = coeffs[info.positions][info.inverse]
     t = Tensor(dim, order, coeffs.reshape((dim,) * order), symmetric=flagged)
     if flagged and not by_orbit and not is_symmetric(t):
         raise SchemaError("tensor: flagged symmetric but coefficients are not")

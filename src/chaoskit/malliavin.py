@@ -413,17 +413,24 @@ def tr_term_direct(pair: MalliavinPair, k: int, r: int) -> float:
     return 0.5 * float(_alpha(n, m, k, r)) * float(np.vdot(diff, diff))
 
 
+def _edet(table: ContractionTable, k: int) -> float:
+    """E det = T_0 + sum_r T_r of the k-th iterated matrix, read from table."""
+    t0, tr = table.terms(k)
+    return t0 + sum(tr)
+
+
 def expected_dets(pair: MalliavinPair) -> tuple[float, ...]:
-    """Closed-form E det = T_0 + sum_r T_r of the k-th iterated Malliavin
-    matrix at index k-1, for k = 1..min(n, m), from one ContractionTable."""
-    terms = map(ContractionTable(pair).terms, range(1, min(pair.n, pair.m) + 1))
-    return tuple(t0 + sum(tr) for t0, tr in terms)
+    """Closed-form E det of the k-th iterated Malliavin matrix at index k-1,
+    for k = 1..min(n, m), from one ContractionTable."""
+    table = ContractionTable(pair)
+    return tuple(_edet(table, k) for k in range(1, min(pair.n, pair.m) + 1))
 
 
 def expected_det(pair: MalliavinPair, k: int) -> float:
-    """``expected_dets(pair)[k-1]``: the table costs the same for one k."""
+    """``expected_dets(pair)[k-1]``, with the terms of this k alone summed
+    from the pair's table."""
     _check_k(pair, k)
-    return expected_dets(pair)[k - 1]
+    return _edet(ContractionTable(pair), k)
 
 
 @dataclass(frozen=True)
@@ -530,21 +537,23 @@ def covariance_inequality(pair: MalliavinPair, tol_rel: float = 1e-9) -> Inequal
     rhs = n^2 det C, and holds means lhs >= rhs - tol_rel * scale.
     tol_rel must be finite and > 0.  The sum is empty for n <= 4, where
     the bound is E det^(1) >= n^2 / (n-1)^2 det C (4, 9/4, 16/9).  Every
-    E det comes from one table.
+    E det comes from one table, whose terms are summed only for the k the
+    bound reads.
     """
     n = _require_equal_orders(pair)
     if n < 2:
         raise ValueError(f"the inequality requires order n >= 2, got {n}")
     _check_tol("tol_rel", tol_rel)
     c, zero = _covariance(pair)
-    dets = expected_dets(pair)
-    lhs = (n - 1) ** 2 * dets[0]
+    table = ContractionTable(pair)
+    edet1 = _edet(table, 1)
+    lhs = (n - 1) ** 2 * edet1
     for s in range(2, (n - 1) // 2 + 1):
         # int / int true division rounds the exact rational weight correctly
-        lhs += n * (n - 2 * s) / math.factorial(s) ** 2 * dets[s - 1]
+        lhs += n * (n - 2 * s) / math.factorial(s) ** 2 * _edet(table, s)
     rhs = n**2 * c
     holds = lhs >= rhs - tol_rel * max(1.0, abs(lhs), abs(rhs))
-    return InequalityResult(lhs, rhs, holds, dets[0], c, c <= zero)
+    return InequalityResult(lhs, rhs, holds, edet1, c, c <= zero)
 
 
 class Verdict(str, Enum):

@@ -296,6 +296,41 @@ def test_report_counts_every_failure_and_lists_the_first_ten(monkeypatch):
     ]
 
 
+class TestBranchControls:
+    """Each check's second failure branch, reached with its main
+    comparison left passing or told apart by its context."""
+
+    def test_divergence_with_an_extra_chaos_order(self, monkeypatch):
+        # the order-n term stays exact, so only the extra order 0 fails
+        monkeypatch.setattr(*_broken(
+            verify, "divergence", lambda F: F + ChaosExpansion.constant(F.dim, 1.0)))
+        result = verify.check_divergence_identity(VerifyConfig(seed=7))
+        assert not result.passed and result.observed == 1.0
+        assert result.failed == result.trials
+        assert all(re.fullmatch(r"d=\d+ n=\d+ seed=\d+", f) for f in result.failures)
+
+    def test_negative_sum_of_squares(self, monkeypatch):
+        monkeypatch.setattr(*_broken(mal, "sum_of_squares_eval", lambda v: -v))
+        result = verify.check_sum_of_squares_pointwise(VerifyConfig(seed=7))
+        assert not result.passed
+        negative = [f for f in result.failures if f.startswith("negative sos ")]
+        assert negative and all(
+            re.fullmatch(r"negative sos d=\d+ n=\d+ m=\d+ k=\d+ seed=\d+", f) for f in negative)
+
+    def test_estimate_not_reproducible(self, monkeypatch):
+        # each call's mean one more than the last; the draws stay as they are
+        calls = []
+
+        def drift(estimate, *args):
+            calls.append(None)
+            return replace(estimate, mean=estimate.mean + len(calls))
+
+        _with_estimate(monkeypatch, "estimate_expected_det", drift)
+        result = verify.check_mc_reproducibility(VerifyConfig(seed=7))
+        assert not result.passed
+        assert result.failures == ["estimate not reproducible"]
+
+
 def test_every_check_function_is_registered_in_one_suite():
     # a check_ function without its @_check line would leave every report
     # without anything failing
