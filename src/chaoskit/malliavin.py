@@ -44,7 +44,7 @@ matrices is positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Optional
@@ -101,10 +101,15 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False, slots=True)
 class MalliavinPair:
-    """The pair (F, G) = (I_n(f), I_m(g)) over a shared d-dimensional basis."""
+    """The pair (F, G) = (I_n(f), I_m(g)) over a shared d-dimensional basis.
+
+    ``norms`` = (||f||^2, ||g||^2), computed once when the pair is built;
+    the scale check, det C, the contraction table and ``verify`` read it.
+    """
 
     f: Tensor
     g: Tensor
+    norms: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.f.dim != self.g.dim:
@@ -120,7 +125,8 @@ class MalliavinPair:
         # they cannot be told from zero or from overflow.  It is exactly 0 for a
         # zero component (det C = 0, allowed) or through underflow (refused)
         f, g = self.f, self.g
-        scale = math.factorial(self.n) * math.factorial(self.m) * inner(f, f) * inner(g, g)
+        object.__setattr__(self, "norms", (inner(f, f), inner(g, g)))
+        scale = math.factorial(self.n) * math.factorial(self.m) * self.norms[0] * self.norms[1]
         zero_component = scale == 0 and not (np.any(f.coeffs) and np.any(g.coeffs))
         if not (zero_component or 1e-300 <= scale < math.inf):
             raise ValueError(
@@ -316,20 +322,21 @@ class ContractionTable:
     gathers of C_r, the second the first with the swapped slots
     transposed.  hats[(r, s)] = hats[(s, r)] (the swap identity) is read
     off the smaller contraction, so the r = 0 row is the norms ||C_s||^2,
-    with ||C_0||^2 = ||f||^2 ||g||^2 so the outer product is never built.
+    with ||C_0||^2 = ||f||^2 ||g||^2 read from ``pair.norms``, so the outer
+    product is never built.
     The gathers and orbit sizes depend only on the shape (d, n, m) and are
     cached as one plan per shape and cap (_table_plan), whose array sizes
     are checked against MAX_ARRAY_BYTES as it is built, before any C_r is
     formed; a lowered cap builds (and refuses) a plan of its own.  No
     array is larger than the dense array it stands for (f, g, or the
-    d^(n+m-2r) entries of C_r).  A table lives for one call; nothing is
-    stored on the pair.
+    d^(n+m-2r) entries of C_r).  A table lives for one call; the pair
+    holds only its squared norms, never the table.
     """
 
     def __init__(self, pair: MalliavinPair):
         d, n, m = pair.dim, pair.n, pair.m
         self.n, self.m = n, m
-        self.hats = hats = {(0, 0): inner(pair.f, pair.f) * inner(pair.g, pair.g)}
+        self.hats = hats = {(0, 0): pair.norms[0] * pair.norms[1]}
         # each component's orbit vector: its value at every representative
         f, g = (t.coeffs.ravel()[orbit_info(d, t.order).positions] for t in (pair.f, pair.g))
         for r, fr, gr, mr, mp, mq, swaps in _table_plan(d, n, m, tensor.MAX_ARRAY_BYTES):
@@ -483,7 +490,8 @@ def _require_equal_orders(pair: MalliavinPair) -> int:
 
 
 def _covariance(pair: MalliavinPair) -> tuple[float, float]:
-    """(det C, its default zero threshold) from one set of inner products.
+    """(det C, its default zero threshold) from the pair's squared norms
+    and <f, g>, the one inner product computed here.
 
     det C = n!^2 (||f||^2 ||g||^2 - <f, g>^2) grows like n!^2 ||f||^2
     ||g||^2, the scale MalliavinPair keeps resolvable, so det C is called
@@ -491,8 +499,7 @@ def _covariance(pair: MalliavinPair) -> tuple[float, float]:
     det C is exactly 0).
     """
     n = _require_equal_orders(pair)
-    nf2 = inner(pair.f, pair.f)
-    ng2 = inner(pair.g, pair.g)
+    nf2, ng2 = pair.norms
     fg = inner(pair.f, pair.g)
     fac2 = math.factorial(n) ** 2
     return fac2 * (nf2 * ng2 - fg * fg), 1e-10 * (fac2 * nf2 * ng2)

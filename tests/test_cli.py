@@ -594,6 +594,16 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == f"chaoskit verify: error: --dim must be >= 2, got {value}\n"
 
+    def test_max_order_one_runs_every_suite(self, capsys):
+        # the top-term check needs n >= 2 and draws it from [2, max(max_order, 2)]
+        code, out, err = run(
+            capsys, "verify", "--suite", "all", "--seed", "0", "--max-order", "1",
+            "--trials", "3", "--samples", "2000",
+        )
+        assert code == 0, err
+        doc = strict_json(out)
+        assert doc["passed"] is True and len(doc["checks"]) == 24
+
     @pytest.mark.parametrize("cmd", ["sweep", "gen"])
     def test_dim_one_allowed_elsewhere(self, cmd, tmp_path, capsys):
         argv = {

@@ -5,6 +5,7 @@ G = I_2(sym(e1 x e2)) = xi1 xi2, whose determinant at k = 1 is 4 xi1^4
 with expectation 12, and whose covariance determinant is 2.
 """
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -131,6 +132,70 @@ class TestPairValidation:
         b = random_pair(2, 2, 3, 99)
         assert np.array_equal(a.f.coeffs, b.f.coeffs)
         assert np.array_equal(a.g.coeffs, b.g.coeffs)
+
+
+class TestPairNorms:
+    """||f||^2 and ||g||^2 are computed once, when the pair is built."""
+
+    @pytest.fixture
+    def inner_calls(self, monkeypatch):
+        count = [0]
+
+        def counted(f, g):
+            count[0] += 1
+            return tensor.inner(f, g)
+
+        monkeypatch.setattr(malliavin, "inner", counted)
+        monkeypatch.setattr(verify, "inner", counted)
+        return count
+
+    def test_inner_calls_per_step(self, inner_calls):
+        pair = random_pair(3, 4, 4, 1)
+        assert inner_calls[0] == 2
+        covariance_inequality(pair)
+        assert inner_calls[0] == 3  # <f, g> alone
+        expected_det(pair, 1)
+        cov_det(pair)
+        assert inner_calls[0] == 4
+        verify._det_scale(pair)
+        assert inner_calls[0] == 4
+
+    @pytest.mark.parametrize(
+        "f, g",
+        [
+            (random_symmetric(3, 4, 1), random_symmetric(3, 4, 2)),
+            (random_symmetric(2, 5, 3), random_symmetric(2, 2, 4)),  # n != m
+            (Tensor(3, 3, np.zeros((3,) * 3), symmetric=True), random_symmetric(3, 2, 5)),
+            (random_symmetric(2, 3, 6), Tensor(2, 3, np.zeros((2,) * 3), symmetric=True)),
+        ],
+    )
+    def test_norms_bit_equal_to_inner(self, f, g):
+        pair = MalliavinPair(f, g)
+        assert pair.norms == (tensor.inner(f, f), tensor.inner(g, g))
+        assert all(type(v) is float for v in pair.norms)
+        hats = ContractionTable(pair).hats
+        assert hats[(0, 0)] == tensor.inner(f, f) * tensor.inner(g, g)
+
+    def test_norms_not_in_repr_or_constructor(self):
+        pair = random_pair(2, 2, 3, 0)
+        f, g = pair.f, pair.g
+        assert repr(pair) == f"MalliavinPair(f={f!r}, g={g!r})"
+        with pytest.raises(TypeError):
+            MalliavinPair(f, g, (1.0, 1.0))
+        with pytest.raises(TypeError):
+            MalliavinPair(f, g, norms=(1.0, 1.0))
+
+    def test_replace_recomputes_norms(self):
+        pair = random_pair(3, 3, 3, 7)
+        g = random_symmetric(3, 2, 8)
+        moved = dataclasses.replace(pair, g=g)
+        assert moved.norms == (pair.norms[0], tensor.inner(g, g))
+        assert moved.norms[1] != pair.norms[1]
+
+    def test_norms_read_only(self):
+        pair = random_pair(2, 2, 2, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pair.norms = (1.0, 1.0)
 
 
 # -- the random draws against the bodies they replaced ---------------------------

@@ -188,6 +188,14 @@ class TestRunSuites:
         assert [(r.suite, r.check) for r in results] == order
         assert all(r.passed for r in results)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_all_passes_at_max_order_one(self, seed):
+        # check_top_term_formula needs n >= 2 and draws it from [2, max(max_order, 2)]
+        cfg = VerifyConfig(max_order=1, trials=3, samples=2000, seed=seed)
+        results = verify.run_suites(cfg, ["all"])
+        assert len(results) == 24
+        assert [r.failures for r in results if not r.passed] == []
+
 
 def _product_without_top_r(F, G):
     """The product formula missing its lowest-order (largest r) term."""
