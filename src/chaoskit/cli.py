@@ -7,7 +7,11 @@ once in ``_SHARED``, each check is written once in ``_REQUIRE`` and runs
 only where the subcommand has the option, and a subcommand without
 ``--seed`` never reads ``CHAOSKIT_SEED`` (nor does ``edet`` without
 ``--mc``).  The parser is built once per process and reused by every
-``main`` call; the environment is read per call.  Exit codes: 0 success
+``main`` call; the environment is read per call.  Each subparser registers
+its handler (``set_defaults(run=...)``), which ``main`` calls, and each JSON
+report's envelope is written once, by ``_emit``: ``"command"``, then
+``"pair"`` (``dim``, ``n``, ``m``) for a report on a pair file, then the
+handler's body.  Exit codes: 0 success
 (all checks passed / report produced), 1 a verification check or sweep
 trial failed or a density report is inconsistent, 2 invalid
 configuration or input file, or a report holding a non-finite number.
@@ -86,9 +90,13 @@ def _default_seed() -> int:
     if raw is None:
         return 0
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError as exc:
         raise ValueError(f"CHAOSKIT_SEED must be an integer, got {raw!r}") from exc
+    need, ok = _REQUIRE["seed"]
+    if not ok(seed):  # named here: --seed was not given
+        raise ValueError(f"CHAOSKIT_SEED must be {need}, got {seed}")
+    return seed
 
 
 def _validate(args: argparse.Namespace) -> None:
@@ -131,28 +139,31 @@ def _build_parser() -> argparse.ArgumentParser:
         p, "--dim", "--max-order", "--trials", "--samples", "--seed", "--tol-rel",
         "--output", "-o",
     )
-    p.set_defaults(samples=20000)
+    p.set_defaults(run=_cmd_verify, samples=20000)
 
     p = sub.add_parser("edet", help="expected determinant report for a pair file")
     p.add_argument("--pair", required=True, metavar="FILE")
     p.add_argument("--k", default="all", help="comma list of orders k, or 'all'")
     p.add_argument("--mc", action="store_true", help="attach a Monte Carlo estimate")
     _add_shared(p, "--samples", "--seed", "--output", "-o")
-    p.set_defaults(samples=None)  # DEFAULT_SAMPLES with --mc; refused without it
+    p.set_defaults(run=_cmd_edet, samples=None)  # DEFAULT_SAMPLES with --mc; refused without it
 
     p = sub.add_parser("density", help="density/degeneracy verdict for a pair file")
     p.add_argument("--pair", required=True, metavar="FILE")
     _add_shared(p, "--tol-abs", "--output", "-o")
+    p.set_defaults(run=_cmd_density)
 
     p = sub.add_parser("mc", help="Monte Carlo estimate of one expected determinant")
     p.add_argument("--pair", required=True, metavar="FILE")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--dump", metavar="PATH", default=None, help="raw sample CSV dump")
     _add_shared(p, "--samples", "--seed", "--output", "-o")
+    p.set_defaults(run=_cmd_mc)
 
     p = sub.add_parser("sweep", help="covariance-inequality sweep over random pairs")
     p.add_argument("--order", type=int, required=True, help="common chaos order n >= 2")
     _add_shared(p, "--dim", "--trials", "--seed", "--tol-rel", "--output", "-o")
+    p.set_defaults(run=_cmd_sweep)
 
     p = sub.add_parser("gen", help="write a random pair file")
     p.add_argument("--order", type=int, default=2, help="order of f")
@@ -165,6 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write g = C * f instead of an independent draw",
     )
     _add_shared(p, "--dim", "--seed", "-o")
+    p.set_defaults(run=_cmd_gen)
     return parser
 
 
@@ -182,7 +194,12 @@ def _non_finite(value, path: str):
             yield from _non_finite(v, f"{path}.{key}")
 
 
-def _emit(report: dict, rows: list[dict], args: argparse.Namespace) -> None:
+def _emit(body: dict, rows: list[dict], args: argparse.Namespace, pair=None) -> None:
+    """Write one report, JSON or CSV.  The JSON envelope is written here alone:
+    ``"command"``, then the shape of the pair the handler read (if it passes
+    one), then the handler's body."""
+    shape = {} if pair is None else {"pair": {"dim": pair.dim, "n": pair.n, "m": pair.m}}
+    report = {"command": args.subcommand, **shape, **body}
     # a non-finite number is an error (exit 2) in either format, never nan or inf;
     # every row value is also a report value
     bad = next(_non_finite(report, "report"), None)
@@ -217,7 +234,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     checks = [asdict(r) for r in results]
     rows = [{**c, "failures": "; ".join(c["failures"])} for c in checks]
     report = {
-        "command": "verify",
         "config": {"suite": suites, **asdict(vcfg)},
         "checks": checks,
         "passed": passed,
@@ -257,12 +273,7 @@ def _cmd_edet(args: argparse.Namespace) -> int:
         mcd = row.pop("mc") or {f.name: "" for f in fields(Estimate)}
         row.update({f"mc_{key}": v for key, v in mcd.items()})
         rows.append(row)
-    report = {
-        "command": "edet",
-        "pair": {"dim": pair.dim, "n": pair.n, "m": pair.m},
-        "results": dicts,
-    }
-    _emit(report, rows, args)
+    _emit({"results": dicts}, rows, args, pair)
     return 0
 
 
@@ -270,8 +281,6 @@ def _cmd_density(args: argparse.Namespace) -> int:
     pair = kio.load_pair(args.pair)
     report = mal.density_check(pair, tol_abs=args.tol_abs)
     payload = {
-        "command": "density",
-        "pair": {"dim": pair.dim, "n": pair.n, "m": pair.m},
         "verdict": report.verdict.value,
         "cov_det": report.cov_det,
         "tol_abs": report.tol_abs,
@@ -291,7 +300,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
         }
         for k, v in enumerate(report.expected_dets, start=1)
     ]
-    _emit(payload, rows, args)
+    _emit(payload, rows, args, pair)
     # det C and the E det table disagree on degeneracy: no verdict to trust
     return 0 if report.consistent else 1
 
@@ -305,8 +314,6 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     )
     within = abs(est.mean - closed) <= 4 * est.stderr
     payload = {
-        "command": "mc",
-        "pair": {"dim": pair.dim, "n": pair.n, "m": pair.m},
         "k": k,
         "estimate": asdict(est),
         "closed_form": closed,
@@ -314,7 +321,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         "within_4_stderr": within,
     }
     rows = [{"k": k, **asdict(est), "closed_form": closed, "within_4_stderr": within}]
-    _emit(payload, rows, args)
+    _emit(payload, rows, args, pair)
     return 0
 
 
@@ -341,7 +348,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         violations += not res.holds
         rows.append(row)
     payload = {
-        "command": "sweep",
         "config": {
             "order": n,
             "dim": args.dim,
@@ -379,22 +385,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-_DISPATCH = {
-    "verify": _cmd_verify,
-    "edet": _cmd_edet,
-    "density": _cmd_density,
-    "mc": _cmd_mc,
-    "sweep": _cmd_sweep,
-    "gen": _cmd_gen,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         _validate(args)
-        return _DISPATCH[args.subcommand](args)
+        return args.run(args)
     except (kio.SchemaError, ValueError, OSError) as exc:
         print(f"chaoskit {args.subcommand}: error: {exc}", file=sys.stderr)
         return 2

@@ -46,7 +46,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from typing import Optional
 
 import numpy as np
@@ -421,9 +422,11 @@ def tr_term_direct(pair: MalliavinPair, k: int, r: int) -> float:
 
 
 def _edet(table: ContractionTable, k: int) -> float:
-    """E det = T_0 + sum_r T_r of the k-th iterated matrix, read from table."""
+    """E det = T_0 + sum_r T_r of the k-th iterated matrix, read from table:
+    t0 plus the T_r added left to right from 0.0, the same bits on every
+    Python version (the builtin ``sum`` of floats compensates from 3.12 on)."""
     t0, tr = table.terms(k)
-    return t0 + sum(tr)
+    return t0 + reduce(add, tr, 0.0)
 
 
 def expected_dets(pair: MalliavinPair) -> tuple[float, ...]:
@@ -444,7 +447,9 @@ def expected_det(pair: MalliavinPair, k: int) -> float:
 class DetBreakdown:
     """Per-k report: closed-form terms, symbolic oracle, optional MC estimate.
 
-    closed_form = t0 + sum(tr); remainder = sum(tr); each tr is a sum of
+    remainder is the T_r in ``tr`` added left to right from 0.0 and
+    closed_form = t0 + remainder, as :func:`expected_dets` adds them, so
+    both have the same bits on every Python version.  Each tr is a sum of
     squared norms and so nonnegative up to rounding.
     """
 
@@ -467,7 +472,7 @@ def _breakdown(pair: MalliavinPair, table: ContractionTable, k: int) -> DetBreak
     caller reporting several k builds the table once."""
     _check_k(pair, k)
     t0, tr = table.terms(k)
-    remainder = float(sum(tr))
+    remainder = reduce(add, tr, 0.0)
     return DetBreakdown(
         k=k,
         t0=t0,

@@ -437,7 +437,7 @@ def check_term_nonnegativity(cfg: VerifyConfig, rec: _Recorder):
                 rec.add(max(-v, 0.0) / scale, f"T_{r} d={d} n={n} m={m} k={k} seed={seed}")
             rec.add(max(-t0, 0.0) / scale, f"T_0 d={d} n={n} m={m} k={k} seed={seed}")
             rec.add(
-                max(-(t0 + sum(tr)), 0.0) / scale,
+                max(-mal._edet(table, k), 0.0) / scale,
                 f"closed d={d} n={n} m={m} k={k} seed={seed}",
             )
 

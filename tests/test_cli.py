@@ -700,6 +700,44 @@ class TestOptions:
             assert code == 0, err
 
 
+    @pytest.mark.parametrize("value", ["-1", str(2**128)])
+    @pytest.mark.parametrize("cmd", [c for c in sorted(OPTIONS) if "--seed" in OPTIONS[c]])
+    def test_env_seed_out_of_range_names_the_variable(self, cmd, value, pair_file, tmp_path,
+                                                      capsys, monkeypatch):
+        # no --seed was given, so the refusal names the variable, not the option
+        monkeypatch.setenv("CHAOSKIT_SEED", value)
+        mc = ["--mc"] if cmd == "edet" else []
+        code, out, err = run(capsys, *base_argv(cmd, pair_file, tmp_path), *mc)
+        assert code == 2 and out == ""
+        assert err == f"chaoskit {cmd}: error: CHAOSKIT_SEED must be in [0, 2**128), got {value}\n"
+        assert not (tmp_path / "out.json").exists()
+
+
+class TestEnvelope:
+    """Every JSON report opens with "command", then "pair" for a report on a
+    pair file or "config" for one that draws its own instances."""
+
+    KEYS = {
+        "verify": ["command", "config", "checks", "passed"],
+        "edet": ["command", "pair", "results"],
+        "density": ["command", "pair", "verdict", "cov_det", "tol_abs", "expected_dets",
+                    "consistent"],
+        "mc": ["command", "pair", "k", "estimate", "closed_form", "abs_error",
+               "within_4_stderr"],
+        "sweep": ["command", "config", "rows", "min_ratio", "violations", "passed"],
+    }
+
+    @pytest.mark.parametrize("cmd", sorted(KEYS))
+    def test_top_level_key_order(self, cmd, pair_file, tmp_path, capsys):
+        code, _, err = run(capsys, *base_argv(cmd, pair_file, tmp_path))
+        assert code == 0, err
+        report = json.loads((tmp_path / "out.json").read_text())
+        assert list(report) == self.KEYS[cmd]
+        assert report["command"] == cmd
+        if "pair" in report:
+            assert report["pair"] == {"dim": 2, "n": 2, "m": 2}
+
+
 class TestEdetMcOnly:
     """edet draws samples only with --mc, so --samples and --seed need it."""
 

@@ -614,6 +614,22 @@ def test_table_bit_identical_to_reference(case):
     assert all(hats[(r, s)] == hats[(s, r)] for r, s in hats)
 
 
+class _CancellingTable:
+    """A table whose k = 1 terms cancel only when added left to right:
+    1e16 + 1.0 rounds to 1e16, while a compensated sum keeps the 1.0."""
+
+    def terms(self, k):
+        return 0.0, (1e16, 1.0, -1e16)
+
+
+def test_terms_added_left_to_right():
+    # the builtin sum compensates from Python 3.12 on and would give 1.0
+    table = _CancellingTable()
+    assert malliavin._edet(table, 1) == 0.0
+    breakdown = malliavin._breakdown(verify.anchor_pair(), table, 1)
+    assert breakdown.remainder == 0.0 and breakdown.closed_form == 0.0
+
+
 def gram_chaos_loop(pair, k):
     """Oracle: one chaos product per orbit representative, weighted by
     orbit size (the per-representative form of gram_chaos)."""
