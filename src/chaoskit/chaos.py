@@ -326,29 +326,31 @@ def _hermite_table(max_degree: int, pts: np.ndarray) -> np.ndarray:
     return table
 
 
-def _monomials(table: np.ndarray, order: int) -> np.ndarray:
-    """prod_i H_{m_i}(xi_i) for every orbit of [0,d)^order, shape (n_orbits, N).
+def _accumulate(table: np.ndarray, order: int, blocks) -> None:
+    """out += coeffs . prod_i H_{m_i}(xi_i) over the orbits of one order,
+    for every (out, coeffs) in blocks.
 
-    One gather per axis from the Hermite table, with m_i the orbit's
-    multiplicity of index i; order 0 gives a single row of ones.
+    ``table`` is a Hermite table (d, deg + 1, N); each coeffs is
+    (p, n_orbits) and every out has one shape (p, N).  The orbits are
+    walked once, in orbit id order.  An orbit's monomial row, m_i its
+    multiplicity of index i, is formed once for all blocks: the factors
+    with m_i > 0 are multiplied left to right in axis order into one
+    reused row (a skipped H_0 factor is exactly 1.0, so no bit changes),
+    one factor is read as its table row, and order 0 reads the all-ones
+    H_0 row.  Then each block's out gains coeffs[:, o] times that row.
+    This fixed elementwise sequence (no BLAS) makes every point's value
+    independent of the batch it is in.
     """
-    mult = orbit_info(table.shape[0], order).multiplicities
-    out = table[0, mult[:, 0]]
-    for i in range(1, table.shape[0]):
-        out *= table[i, mult[:, i]]
-    return out
-
-
-def _accumulate(out: np.ndarray, coeffs: np.ndarray, monomials: np.ndarray) -> np.ndarray:
-    """out += coeffs . monomials over the orbit axis, one orbit at a time.
-
-    ``coeffs`` is (n_orbits,) or (p, n_orbits).  The fixed-order
-    elementwise sum (no BLAS) makes every point's value independent of
-    the batch it is evaluated in.
-    """
-    for o in range(monomials.shape[0]):
-        out += coeffs[..., o, None] * monomials[o]
-    return out
+    row = np.empty(table.shape[2])
+    scaled = np.empty_like(blocks[0][0])
+    for o, mult in enumerate(orbit_info(table.shape[0], order).multiplicities.tolist()):
+        factors = [table[i, p] for i, p in enumerate(mult) if p] or [table[0, 0]]
+        mono = factors[0] if len(factors) == 1 else np.multiply(*factors[:2], out=row)
+        for h in factors[2:]:
+            row *= h
+        for out, coeffs in blocks:
+            np.multiply(coeffs[:, o, None], mono, out=scaled)
+            out += scaled
 
 
 def as_points(xi, dim: int) -> tuple[np.ndarray, bool]:
@@ -373,14 +375,17 @@ def evaluate(F: ChaosExpansion, xi):
     arithmetic over permutation orbits: each order-k tensor contributes
     sum_o S_o prod_i H_{m_i(o)}(xi_i), with S_o the sum of its
     coefficients over orbit o of [0,d)^k and m_i(o) the multiplicity of
-    i in the orbit.  One Hermite table serves every order, and the
-    orbits are summed in a fixed order, so a point's value does not
-    depend on the batch it is in.
+    i in the orbit.  One Hermite table serves every order.  Each point's
+    operations are fixed: the orders are added in term order, each
+    order's orbits in orbit order, and each monomial multiplies its
+    H_{m_i} factors with m_i > 0 in axis order (the H_0 factors are
+    exactly 1.0 and are skipped), so a point's value does not depend on
+    the batch it is in.
     """
     pts, single = as_points(xi, F.dim)
-    out = np.zeros(pts.shape[0])
+    out = np.zeros((1, pts.shape[0]))
     table = _hermite_table(F.max_order(), pts)
     for k, t in F.terms.items():
         sums, _ = _orbit_sums(t.coeffs, orbit_info(F.dim, k))
-        _accumulate(out, sums[0], _monomials(table, k))
-    return float(out[0]) if single else out
+        _accumulate(table, k, [(out, sums)])
+    return float(out[0, 0]) if single else out[0]

@@ -58,7 +58,6 @@ from .chaos import (
     _accumulate,
     _expansion,
     _hermite_table,
-    _monomials,
     _product,
     as_points,
     checked_factorial,
@@ -233,34 +232,46 @@ def sum_of_squares_eval(pair: MalliavinPair, k: int, xi):
     with A, B the derivative coordinates of F, G at xi.  Coordinates are
     equal within a permutation orbit, so this is evaluated as
     sum_{i < l} w_i w_l (a_i b_l - a_l b_i)^2 over orbit representatives
-    with orbit sizes w, one pair at a time in a fixed order.  The
-    coordinate of D^k I_n(f) at rep j is n!/(n-k)! I_{n-k}(f_j), f_j the
-    slice of f at j: the slices at every rep are stacked, their orbit
-    sums taken in one batch (one row per rep) and scaled after summing,
-    then applied to monomials from one Hermite table.  Nonnegative
-    pointwise by construction, equal as a polynomial to the evaluated
-    symbolic determinant, and a point's value does not depend on the
-    batch it is in.  Accepts one point (d,) or a batch (N, d).
+    with orbit sizes w.  The coordinate of D^k I_n(f) at rep j is
+    n!/(n-k)! I_{n-k}(f_j), f_j the slice of f at j: the slices at every
+    rep are stacked, their orbit sums taken in one batch (one row per rep)
+    and scaled after summing, then applied by ``chaos._accumulate``, which
+    forms each orbit's monomial once for f and g when n = m.
+
+    Each point's operations are fixed: every coordinate adds its orbits'
+    terms in orbit order, each monomial multiplying its H_{m_i} factors
+    with m_i > 0 in axis order (the H_0 factors are exactly 1.0 and are
+    skipped); then, for i < l in order, the minor is a_i b_l - a_l b_i,
+    squared, scaled by w_i w_l and added.  So a point's value does not
+    depend on the batch it is in.  Nonnegative pointwise by construction,
+    and equal as a polynomial to the evaluated symbolic determinant.
+    Accepts one point (d,) or a batch (N, d).
     """
     _check_k(pair, k)
     pts, single = as_points(xi, pair.dim)
     table = _hermite_table(max(pair.n, pair.m) - k, pts)
     info_k = orbit_info(pair.dim, k)
     reps = tuple(info_k.reps.T)
-    monomials = {q: _monomials(table, q) for q in {pair.n - k, pair.m - k}}
-    coords = []
-    for f in (pair.f, pair.g):
+    a, b = coords = np.zeros((2, len(info_k.reps), pts.shape[0]))
+    blocks: dict[int, list] = {}  # at n = m, f and g read one order's monomials
+    for f, out in zip((pair.f, pair.g), coords):
         q = f.order - k
         sums, _ = _orbit_sums(f.coeffs[reps], orbit_info(pair.dim, q))
-        out = np.zeros((len(info_k.reps), pts.shape[0]))
-        coords.append(_accumulate(out, float(math.perm(f.order, k)) * sums, monomials[q]))
-    a, b = coords
+        blocks.setdefault(q, []).append((out, float(math.perm(f.order, k)) * sums))
+    for q, block in blocks.items():
+        _accumulate(table, q, block)
     w = info_k.counts.astype(np.float64)
     out = np.zeros(pts.shape[0])
+    minor, other = np.empty((2, pts.shape[0]))
     for i in range(len(w)):
         for l in range(i + 1, len(w)):
-            minor = a[i] * b[l] - a[l] * b[i]
-            out += (w[i] * w[l]) * (minor * minor)
+            # (w_i w_l) (a_i b_l - a_l b_i)^2, one operation at a time in place
+            np.multiply(a[i], b[l], out=minor)
+            np.multiply(a[l], b[i], out=other)
+            minor -= other
+            minor *= minor
+            minor *= w[i] * w[l]
+            out += minor
     return float(out[0]) if single else out
 
 

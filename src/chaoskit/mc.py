@@ -7,7 +7,11 @@ uniforms per pair of normals).  Results are therefore bit-identical for
 a given (seed, index) no matter how samples are sharded or ordered.
 
 A sample's value depends only on its point, never on the chunk it is
-evaluated in (pointwise evaluation sums in a fixed order, without BLAS).
+evaluated in: pointwise evaluation applies a fixed elementwise sequence
+to each point, without BLAS.  Each orbit's monomial multiplies its
+nonzero-degree Hermite factors in axis order (the H_0 factors are
+exactly 1.0 and are skipped), orbits are added in orbit order, and the
+squared minors in (i, l) order (see ``malliavin.sum_of_squares_eval``).
 Reductions accumulate fixed-size chunks in index order, so an estimate
 depends only on (seed, n_samples); the variance merges per-chunk means
 and squared deviations, which stays accurate when the mean is large

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from chaoskit import mc
-from chaoskit.chaos import ChaosExpansion, evaluate
-from chaoskit.malliavin import MalliavinPair, expected_det, random_pair
+from chaoskit.chaos import ChaosExpansion, _hermite_table, as_points, evaluate
+from chaoskit.malliavin import MalliavinPair, expected_det, random_pair, sum_of_squares_eval
 from chaoskit.mc import (
     CHUNK_SAMPLES,
     Estimate,
@@ -16,7 +16,7 @@ from chaoskit.mc import (
     sample_gaussian,
     sample_gaussian_block,
 )
-from chaoskit.tensor import basis_tensor, random_symmetric, symmetrize
+from chaoskit.tensor import _orbit_sums, basis_tensor, orbit_info, random_symmetric, symmetrize
 
 
 def worked_pair():
@@ -108,12 +108,22 @@ class TestEstimateExpectedDet:
         assert est.mean == pytest.approx(1.0, rel=1e-12)
         assert est.stderr == pytest.approx(0.0, abs=1e-12)
 
-    def test_reproducible_and_chunk_independent(self):
-        pair = worked_pair()
+    def test_reproducible_and_chunk_independent(self, tmp_path):
+        pair = random_pair(3, 4, 4, 41)
         n = CHUNK_SAMPLES + 1234  # spans a chunk boundary
-        a = estimate_expected_det(pair, 1, n_samples=n, seed=7)
-        b = estimate_expected_det(pair, 1, n_samples=n, seed=7)
+        path = tmp_path / "samples.csv"
+        a = estimate_expected_det(pair, 2, n_samples=n, seed=7, dump_path=path)
+        b = estimate_expected_det(pair, 2, n_samples=n, seed=7)
         assert (a.mean, a.stderr) == (b.mean, b.stderr)
+        rows = path.read_text().splitlines()[1:]
+        assert [int(r.split(",")[0]) for r in rows] == list(range(n))
+        dumped = np.array([float(r.split(",")[1]) for r in rows])  # %.17g round-trips
+        xi = sample_gaussian_block(pair.dim, 7, 0, n)
+        # each sample's value is the same however the samples are cut into batches
+        for cuts in ([], [1, 777], [CHUNK_SAMPLES - 1, CHUNK_SAMPLES + 5]):
+            vals = np.concatenate([sum_of_squares_eval(pair, 2, part)
+                                   for part in np.split(xi, cuts)])
+            assert vals.tobytes() == dumped.tobytes()
 
     def test_nonnegative_mean(self):
         pair = random_pair(2, 2, 2, 31)
@@ -252,6 +262,113 @@ class TestSamplerReference:
         pair = random_pair(d, n, n, 500 + 10 * d + n)
         got = estimate_expected_det(pair, k, n_samples=samples, seed=17)
         monkeypatch.setattr(mc, "sample_gaussian_block", reference_sample_gaussian_block)
+        ref = estimate_expected_det(pair, k, n_samples=samples, seed=17)
+        assert (got.mean.hex(), got.stderr.hex()) == (ref.mean.hex(), ref.stderr.hex())
+
+
+# -- the pointwise evaluators against the orbit-at-a-time ones they replaced -----
+
+
+def reference_monomials(table, order):
+    """prod_i H_{m_i}(xi_i) for every orbit, (n_orbits, N), H_0 factors included."""
+    mult = orbit_info(table.shape[0], order).multiplicities
+    out = table[0, mult[:, 0]]
+    for i in range(1, table.shape[0]):
+        out *= table[i, mult[:, i]]
+    return out
+
+
+def reference_accumulate(out, coeffs, monomials):
+    for o in range(monomials.shape[0]):
+        out += coeffs[..., o, None] * monomials[o]
+    return out
+
+
+def reference_sum_of_squares_eval(pair, k, xi):
+    """The squared-minor form over a (n_orbits, N) monomial array, the
+    bit-for-bit reference."""
+    pts, single = as_points(xi, pair.dim)
+    table = _hermite_table(max(pair.n, pair.m) - k, pts)
+    info_k = orbit_info(pair.dim, k)
+    reps = tuple(info_k.reps.T)
+    monomials = {q: reference_monomials(table, q) for q in {pair.n - k, pair.m - k}}
+    coords = []
+    for f in (pair.f, pair.g):
+        q = f.order - k
+        sums, _ = _orbit_sums(f.coeffs[reps], orbit_info(pair.dim, q))
+        out = np.zeros((len(info_k.reps), pts.shape[0]))
+        coords.append(
+            reference_accumulate(out, float(math.perm(f.order, k)) * sums, monomials[q]))
+    a, b = coords
+    w = info_k.counts.astype(np.float64)
+    out = np.zeros(pts.shape[0])
+    for i in range(len(w)):
+        for l in range(i + 1, len(w)):
+            minor = a[i] * b[l] - a[l] * b[i]
+            out += (w[i] * w[l]) * (minor * minor)
+    return float(out[0]) if single else out
+
+
+def reference_evaluate(F, xi):
+    """evaluate over a (n_orbits, N) monomial array, the bit-for-bit reference."""
+    pts, single = as_points(xi, F.dim)
+    out = np.zeros(pts.shape[0])
+    table = _hermite_table(F.max_order(), pts)
+    for k, t in F.terms.items():
+        sums, _ = _orbit_sums(t.coeffs, orbit_info(F.dim, k))
+        reference_accumulate(out, sums[0], reference_monomials(table, k))
+    return float(out[0]) if single else out
+
+
+def _bits(x):
+    return np.float64(x).tobytes() if isinstance(x, float) else x.tobytes()
+
+
+# (d, n, m): the MC cells' shapes, then n != m both ways, d = 1, and an order-1 side
+EVAL_SHAPES = [(d, n, n) for d, n, _, _ in MC_CELLS] + [
+    (3, 5, 3), (3, 2, 4), (2, 6, 1), (4, 3, 2), (1, 3, 3), (1, 4, 2), (2, 1, 1)]
+
+
+def _points(d, count, seed):
+    """Standard normal points, then points of norm up to 8 and the origin."""
+    rng = np.random.default_rng(seed)
+    far = rng.standard_normal((count, d))
+    far *= np.linspace(0.5, 8.0, count)[:, None] / np.linalg.norm(far, axis=1)[:, None]
+    return np.vstack([rng.standard_normal((count, d)), far, np.zeros((1, d))])
+
+
+class TestEvaluatorReference:
+    @pytest.mark.parametrize("d, n, m", EVAL_SHAPES)
+    def test_sum_of_squares_bit_identical(self, d, n, m):
+        pair = random_pair(d, n, m, 600 + 10 * d + n + m)
+        pts = _points(d, 40, d + n + m)
+        for k in range(1, min(n, m) + 1):  # k = min(n, m) reads the order-0 block
+            got = sum_of_squares_eval(pair, k, pts)
+            assert _bits(got) == _bits(reference_sum_of_squares_eval(pair, k, pts))
+            for x in (pts[0], pts[-2]):  # one point, and the farthest
+                one = sum_of_squares_eval(pair, k, x)
+                assert isinstance(one, float)
+                assert _bits(one) == _bits(reference_sum_of_squares_eval(pair, k, x))
+
+    @pytest.mark.parametrize("d, orders", [(1, (0, 3)), (2, (0, 1, 2, 5)), (3, (2, 4)),
+                                           (3, (0, 6)), (4, (1, 3, 4))])
+    def test_evaluate_bit_identical(self, d, orders):
+        F = ChaosExpansion.constant(d, 0.75) if 0 in orders else ChaosExpansion(d, {})
+        for q in orders:
+            if q:
+                F = F + ChaosExpansion.integral(random_symmetric(d, q, 70 + 10 * d + q))
+        pts = _points(d, 40, 90 + d)
+        assert _bits(evaluate(F, pts)) == _bits(reference_evaluate(F, pts))
+        for x in (pts[0], pts[-2], pts[-1]):
+            one = evaluate(F, x)
+            assert isinstance(one, float)
+            assert _bits(one) == _bits(reference_evaluate(F, x))
+
+    @pytest.mark.parametrize("d, n, k, samples", MC_CELLS)
+    def test_estimates_bit_identical(self, d, n, k, samples, monkeypatch):
+        pair = random_pair(d, n, n, 500 + 10 * d + n)
+        got = estimate_expected_det(pair, k, n_samples=samples, seed=17)
+        monkeypatch.setattr(mc, "sum_of_squares_eval", reference_sum_of_squares_eval)
         ref = estimate_expected_det(pair, k, n_samples=samples, seed=17)
         assert (got.mean.hex(), got.stderr.hex()) == (ref.mean.hex(), ref.stderr.hex())
 
