@@ -45,6 +45,7 @@ from .tensor import (
 )
 
 __all__ = [
+    "BLOCK_POINTS",
     "ChaosExpansion",
     "CoefficientCapError",
     "FACTORIAL_CAP",
@@ -61,6 +62,11 @@ __all__ = [
 ]
 
 FACTORIAL_CAP = 20
+
+# Batches of points are walked in blocks of this many, so pointwise scratch
+# is O(BLOCK_POINTS) beyond the result; read at each call, and no result bit
+# depends on it
+BLOCK_POINTS = 8192
 
 
 class CoefficientCapError(ValueError):
@@ -367,6 +373,12 @@ def as_points(xi, dim: int) -> tuple[np.ndarray, bool]:
     return pts, single
 
 
+def _point_blocks(count: int) -> list[slice]:
+    """[0, count) as consecutive slices of at most BLOCK_POINTS points."""
+    step = BLOCK_POINTS
+    return [slice(s, min(s + step, count)) for s in range(0, count, step)]
+
+
 def evaluate(F: ChaosExpansion, xi):
     """Evaluate F at the Gaussian coordinates xi.
 
@@ -380,12 +392,16 @@ def evaluate(F: ChaosExpansion, xi):
     order's orbits in orbit order, and each monomial multiplies its
     H_{m_i} factors with m_i > 0 in axis order (the H_0 factors are
     exactly 1.0 and are skipped), so a point's value does not depend on
-    the batch it is in.
+    the batch it is in.  The orbit sums are taken once; a batch larger
+    than BLOCK_POINTS is walked in blocks, each with its own Hermite
+    table, so scratch is O(BLOCK_POINTS) beyond the result, whose bits do
+    not depend on the block size.
     """
     pts, single = as_points(xi, F.dim)
+    orders = [(k, _orbit_sums(t.coeffs, orbit_info(F.dim, k))[0]) for k, t in F.terms.items()]
     out = np.zeros((1, pts.shape[0]))
-    table = _hermite_table(F.max_order(), pts)
-    for k, t in F.terms.items():
-        sums, _ = _orbit_sums(t.coeffs, orbit_info(F.dim, k))
-        _accumulate(table, k, [(out, sums)])
+    for b in _point_blocks(pts.shape[0]):
+        table = _hermite_table(F.max_order(), pts[b])
+        for k, sums in orders:
+            _accumulate(table, k, [(out[:, b], sums)])
     return float(out[0, 0]) if single else out[0]

@@ -58,6 +58,7 @@ from .chaos import (
     _accumulate,
     _expansion,
     _hermite_table,
+    _point_blocks,
     _product,
     as_points,
     checked_factorial,
@@ -245,34 +246,40 @@ def sum_of_squares_eval(pair: MalliavinPair, k: int, xi):
     squared, scaled by w_i w_l and added.  So a point's value does not
     depend on the batch it is in.  Nonnegative pointwise by construction,
     and equal as a polynomial to the evaluated symbolic determinant.
-    Accepts one point (d,) or a batch (N, d).
+    Accepts one point (d,) or a batch (N, d).  The orbit sums are taken
+    once; a batch larger than ``chaos.BLOCK_POINTS`` is walked in blocks,
+    each with its own Hermite table, coordinates and minors, so scratch
+    is O(BLOCK_POINTS) beyond the result, whose bits do not depend on the
+    block size.
     """
     _check_k(pair, k)
     pts, single = as_points(xi, pair.dim)
-    table = _hermite_table(max(pair.n, pair.m) - k, pts)
     info_k = orbit_info(pair.dim, k)
     reps = tuple(info_k.reps.T)
-    a, b = coords = np.zeros((2, len(info_k.reps), pts.shape[0]))
-    blocks: dict[int, list] = {}  # at n = m, f and g read one order's monomials
-    for f, out in zip((pair.f, pair.g), coords):
+    orders: dict[int, list] = {}  # at n = m, f and g read one order's monomials
+    for side, f in enumerate((pair.f, pair.g)):
         q = f.order - k
         sums, _ = _orbit_sums(f.coeffs[reps], orbit_info(pair.dim, q))
-        blocks.setdefault(q, []).append((out, float(math.perm(f.order, k)) * sums))
-    for q, block in blocks.items():
-        _accumulate(table, q, block)
+        orders.setdefault(q, []).append((side, float(math.perm(f.order, k)) * sums))
     w = info_k.counts.astype(np.float64)
-    out = np.zeros(pts.shape[0])
-    minor, other = np.empty((2, pts.shape[0]))
-    for i in range(len(w)):
-        for l in range(i + 1, len(w)):
-            # (w_i w_l) (a_i b_l - a_l b_i)^2, one operation at a time in place
-            np.multiply(a[i], b[l], out=minor)
-            np.multiply(a[l], b[i], out=other)
-            minor -= other
-            minor *= minor
-            minor *= w[i] * w[l]
-            out += minor
-    return float(out[0]) if single else out
+    result = np.zeros(pts.shape[0])
+    for block in _point_blocks(pts.shape[0]):
+        table = _hermite_table(max(pair.n, pair.m) - k, pts[block])
+        a, b = coords = np.zeros((2, len(w), table.shape[2]))
+        for q, sides in orders.items():
+            _accumulate(table, q, [(coords[side], sums) for side, sums in sides])
+        out = result[block]
+        minor, other = np.empty((2, len(out)))
+        for i in range(len(w)):
+            for l in range(i + 1, len(w)):
+                # (w_i w_l) (a_i b_l - a_l b_i)^2, one operation at a time in place
+                np.multiply(a[i], b[l], out=minor)
+                np.multiply(a[l], b[i], out=other)
+                minor -= other
+                minor *= minor
+                minor *= w[i] * w[l]
+                out += minor
+    return float(result[0]) if single else result
 
 
 # -- closed-form route: one contraction table per pair -----------------------

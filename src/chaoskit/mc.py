@@ -21,6 +21,11 @@ from block w // 4 of Philox's 256-bit counter, carried across all four
 of its 64-bit words, so sample words are exact up to 2**256 blocks,
 with no wrap at 2**128.  Samples that would read words past block 2**256
 are refused, not wrapped back to block 0.
+
+The sampler and the pointwise evaluators walk a batch larger than
+``chaos.BLOCK_POINTS`` in blocks, so their scratch is O(BLOCK_POINTS)
+beyond the result, and no result bit depends on the block size.  Every
+estimator chunk (CHUNK_SAMPLES points) is one such block.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .chaos import ChaosExpansion, evaluate
+from .chaos import ChaosExpansion, _point_blocks, evaluate
 from .malliavin import MalliavinPair, _check_k, sum_of_squares_eval
 
 __all__ = [
@@ -98,7 +103,10 @@ def sample_gaussian_block(dim: int, seed: int, start: int, count: int) -> np.nda
     """Standard normal vectors for sample indices [start, start + count).
 
     Shape (count, dim).  Row i equals sample_gaussian(dim, seed, start + i)
-    exactly, independent of the blocking used to obtain it.
+    exactly, independent of the blocking used to obtain it.  The rows are
+    filled in blocks of ``chaos.BLOCK_POINTS`` samples, so scratch is
+    O(BLOCK_POINTS) beyond the result, whose bits do not depend on the
+    block size.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -111,6 +119,16 @@ def sample_gaussian_block(dim: int, seed: int, start: int, count: int) -> np.nda
             f"sample indices [{start}, {start + count}) at dim {dim} need Philox "
             f"words past block 2**256: indices must lie below {_WORD_BOUND // (2 * pairs)}"
         )
+    z = np.empty((count, dim))
+    for block in _point_blocks(count):
+        _fill_gaussian(z[block], seed, start + block.start)
+    return z
+
+
+def _fill_gaussian(z: np.ndarray, seed: int, start: int) -> None:
+    """Write the normals of samples start, start + 1, ... into the rows of z."""
+    count, dim = z.shape
+    pairs = (dim + 1) // 2
     words = _raw_words(seed, start * 2 * pairs, count * 2 * pairs)
     words >>= np.uint64(11)  # 53-bit mantissas
     # rows (u1, u2) of shape (pairs, count): every log/cos/sin reads contiguous memory
@@ -122,11 +140,9 @@ def sample_gaussian_block(dim: int, seed: int, start: int, count: int) -> np.nda
     radius *= -2.0
     np.sqrt(radius, out=radius)
     angle *= 2.0 * np.pi
-    z = np.empty((count, dim))
     np.multiply(radius, np.cos(angle), out=z[:, 0::2].T)
     half = dim // 2  # an odd dim draws no sine for its last pair
     np.multiply(radius[:half], np.sin(angle[:half]), out=z[:, 1::2].T)
-    return z
 
 
 def sample_gaussian(dim: int, seed: int, index: int) -> np.ndarray:
@@ -155,8 +171,7 @@ def _run_estimator(values_for_block, n_samples: int, seed: int, dump) -> Estimat
         run_mean += delta * size / count
         m2 += float(np.dot(dev, dev)) + delta * delta * (count - size) * size / count
         if dump is not None:
-            for i, v in enumerate(vals):
-                dump.writerow((start + i, f"{v:.17g}"))
+            dump.writerows(zip(range(start, start + size), map("{:.17g}".format, vals.tolist())))
     mean = total / n_samples
     var = m2 / (n_samples - 1)
     return Estimate(

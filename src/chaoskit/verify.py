@@ -613,13 +613,11 @@ def check_mc_moments(cfg: VerifyConfig, rec: _Recorder):
 def run_suites(cfg: VerifyConfig, suites: list[str]) -> list[CheckResult]:
     if not suites:  # no check run is no evidence, and a report with no row
         raise ValueError(f"no suite named; choose from {sorted(SUITES)} or 'all'")
-    if "all" in suites:
-        selected = list(SUITES)
-    else:
-        unknown = [s for s in suites if s not in SUITES]
-        if unknown:
-            raise ValueError(
-                f"unknown suite(s) {unknown}; choose from {sorted(SUITES)} or 'all'"
-            )
-        selected = suites
+    # each suite once, in order of first mention; 'all' names every suite in place
+    selected = dict.fromkeys(n for s in suites for n in (SUITES if s == "all" else [s]))
+    unknown = [s for s in selected if s not in SUITES]
+    if unknown:
+        raise ValueError(
+            f"unknown suite(s) {unknown}; choose from {sorted(SUITES)} or 'all'"
+        )
     return [check(cfg) for name in selected for check in SUITES[name]]

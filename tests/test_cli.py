@@ -14,6 +14,7 @@ from chaoskit import cli
 from chaoskit.cli import main
 from chaoskit.io import load_pair
 from chaoskit.mc import DEFAULT_SAMPLES, Estimate
+from chaoskit.verify import SUITES
 
 
 def run(capsys, *argv):
@@ -623,6 +624,20 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "nope")
         assert code == 2
+
+    @pytest.mark.parametrize("suite", ["all,bogus", "tensor,bogus,all"])
+    def test_unknown_suite_beside_all(self, suite, capsys):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--trials", "1")
+        assert code == 2 and out == ""
+        assert err == (f"chaoskit verify: error: unknown suite(s) ['bogus']; choose from "
+                       f"{sorted(SUITES)} or 'all'\n")
+
+    def test_repeated_suite_runs_once(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "tensor,tensor", "--trials", "1",
+                             "--max-order", "2")
+        assert code == 0, err
+        checks = [c["check"] for c in strict_json(out)["checks"]]
+        assert len(checks) == len(SUITES["tensor"]) == len(set(checks))
 
     def test_bad_config(self, capsys):
         code, _, _ = run(capsys, "verify", "--trials", "0")

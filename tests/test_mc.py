@@ -1,11 +1,14 @@
 """Unit tests for the counter-based Monte Carlo layer."""
 
+import csv
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from chaoskit import mc
+from chaoskit import chaos, mc
 from chaoskit.chaos import ChaosExpansion, _hermite_table, as_points, evaluate
 from chaoskit.malliavin import MalliavinPair, expected_det, random_pair, sum_of_squares_eval
 from chaoskit.mc import (
@@ -124,6 +127,13 @@ class TestEstimateExpectedDet:
             vals = np.concatenate([sum_of_squares_eval(pair, 2, part)
                                    for part in np.split(xi, cuts)])
             assert vals.tobytes() == dumped.tobytes()
+        # one writerows per chunk writes the bytes of one writerow per sample
+        ref = io.StringIO()
+        writer = csv.writer(ref)
+        writer.writerow(("index", "value"))
+        for i, v in enumerate(sum_of_squares_eval(pair, 2, xi)):
+            writer.writerow((i, f"{v:.17g}"))
+        assert path.read_bytes() == ref.getvalue().encode()
 
     def test_nonnegative_mean(self):
         pair = random_pair(2, 2, 2, 31)
@@ -427,3 +437,127 @@ class TestRawWords:
             sample_gaussian(dim, 7, bound)
         with pytest.raises(ValueError, match=r"past block 2\*\*256"):
             sample_gaussian_block(dim, 7, bound - 1, 2)
+
+
+# -- large batches walked in blocks of chaos.BLOCK_POINTS ------------------------
+
+
+@pytest.fixture(params=[7, 1000, chaos.BLOCK_POINTS])
+def block(request, monkeypatch):
+    """chaos.BLOCK_POINTS lowered to 7, to 1000, or left at its default."""
+    monkeypatch.setattr(chaos, "BLOCK_POINTS", request.param)
+    return request.param
+
+
+def _blocked_points(d, block, seed):
+    """3 * block + 5 points: three full blocks and a partial one."""
+    return _points(d, 2 * block + 3, seed)[: 3 * block + 5]
+
+
+class TestBlocking:
+    """Each routine's result, walked in blocks, equals the unblocked
+    reference bit for bit, at every block size."""
+
+    def test_block_is_one_estimator_chunk(self):
+        # every estimator chunk runs as one block, in one Hermite table
+        assert chaos.BLOCK_POINTS == CHUNK_SAMPLES
+
+    @pytest.mark.parametrize("d, n, m", EVAL_SHAPES)
+    def test_sum_of_squares_bit_identical(self, d, n, m, block):
+        pair = random_pair(d, n, m, 700 + 10 * d + n + m)
+        pts = _blocked_points(d, block, d + n + m)
+        for k in range(1, min(n, m) + 1):  # k = min(n, m) reads the order-0 block
+            got = sum_of_squares_eval(pair, k, pts)
+            assert got.shape == (3 * block + 5,)
+            assert _bits(got) == _bits(reference_sum_of_squares_eval(pair, k, pts))
+            one = sum_of_squares_eval(pair, k, pts[-1])
+            assert _bits(one) == _bits(reference_sum_of_squares_eval(pair, k, pts[-1]))
+
+    @pytest.mark.parametrize("d, orders", [(1, (0, 3)), (2, (0, 1, 2, 5)), (3, (0, 6)),
+                                           (4, (1, 3, 4))])
+    def test_evaluate_bit_identical(self, d, orders, block):
+        F = ChaosExpansion.constant(d, 0.75) if 0 in orders else ChaosExpansion(d, {})
+        for q in orders:
+            if q:
+                F = F + ChaosExpansion.integral(random_symmetric(d, q, 80 + 10 * d + q))
+        pts = _blocked_points(d, block, 95 + d)
+        assert _bits(evaluate(F, pts)) == _bits(reference_evaluate(F, pts))
+        assert _bits(evaluate(F, pts[-1])) == _bits(reference_evaluate(F, pts[-1]))
+
+    @pytest.mark.parametrize("dim", range(1, 6))
+    @pytest.mark.parametrize("start", [0, 10**12 + 3])
+    def test_sampler_bit_identical(self, dim, start, block):
+        for count in (3 * block + 5, 1):
+            got = sample_gaussian_block(dim, 11, start, count)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == reference_sample_gaussian_block(dim, 11, start, count).tobytes()
+
+    def test_empty_batch(self, block):
+        pair = random_pair(3, 2, 2, 1)
+        assert sum_of_squares_eval(pair, 1, np.empty((0, 3))).shape == (0,)
+        assert evaluate(ChaosExpansion.integral(pair.f), np.empty((0, 3))).shape == (0,)
+        assert sample_gaussian_block(3, 0, 5, 0).shape == (0, 3)
+
+
+def _traced_peak(fn):
+    """fn's result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockScratch:
+    """Scratch beyond the result is O(BLOCK_POINTS), not O(batch)."""
+
+    # 200 000 points: 25 blocks, a 1.6 MB result; the unblocked routines traced
+    # 68.8 MB (sum_of_squares_eval at (4, 4, 2)) and 44.8 MB (evaluate of I_6 at
+    # d = 3), and the blocked ones about 5.2 and 5.0 MB
+    POINTS = 200_000
+    SCRATCH_BOUND = 8_000_000
+
+    def test_sum_of_squares_eval(self):
+        pair = random_pair(4, 4, 4, 1)
+        pts = sample_gaussian_block(4, 3, 0, self.POINTS)
+        vals, peak = _traced_peak(lambda: sum_of_squares_eval(pair, 2, pts))
+        assert peak < vals.nbytes + self.SCRATCH_BOUND
+
+    def test_evaluate(self):
+        F = ChaosExpansion.integral(random_symmetric(3, 6, 1))
+        pts = sample_gaussian_block(3, 3, 0, self.POINTS)
+        vals, peak = _traced_peak(lambda: evaluate(F, pts))
+        assert peak < vals.nbytes + self.SCRATCH_BOUND
+
+    def test_sampler_below_twice_its_output(self):
+        # the unblocked sampler traced 22.4 MB for its 6.4 MB output
+        z, peak = _traced_peak(lambda: sample_gaussian_block(4, 5, 0, self.POINTS))
+        assert peak < 2 * z.nbytes
+
+
+class TestSampleCount:
+    """Each sample is drawn by one call of the public sampler: the blocks are
+    filled by a private helper, so a traced call counts its samples once."""
+
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        count = {"calls": 0, "samples": 0}
+        real = mc.sample_gaussian_block
+
+        def counted(dim, seed, start, n):
+            count["calls"] += 1
+            count["samples"] += n
+            return real(dim, seed, start, n)
+
+        monkeypatch.setattr(mc, "sample_gaussian_block", counted)
+        return count
+
+    def test_one_call_for_a_large_request(self, drawn):
+        assert mc.sample_gaussian_block(2, 0, 0, 40_000).shape == (40_000, 2)
+        assert drawn == {"calls": 1, "samples": 40_000}
+
+    def test_estimate_draws_each_sample_once(self, drawn):
+        estimate_expected_det(worked_pair(), 1, n_samples=40_000, seed=3)
+        assert drawn == {"calls": math.ceil(40_000 / CHUNK_SAMPLES), "samples": 40_000}
+

@@ -188,6 +188,25 @@ class TestRunSuites:
         assert [(r.suite, r.check) for r in results] == order
         assert all(r.passed for r in results)
 
+    @pytest.mark.parametrize("suites", [["all", "bogus"], ["bogus", "all"], ["mc", "bogus"]])
+    def test_unknown_name_refused_beside_all(self, suites, monkeypatch):
+        ran = []
+        monkeypatch.setattr(verify, "SUITES", {s: [ran.append] for s in ("tensor", "mc")})
+        with pytest.raises(ValueError) as exc:
+            verify.run_suites(VerifyConfig(seed=7), suites)
+        assert str(exc.value) == "unknown suite(s) ['bogus']; choose from ['mc', 'tensor'] or 'all'"
+        assert ran == []  # refused before any check runs
+
+    @pytest.mark.parametrize("suites, order", [
+        (["b", "b"], ["b"]),
+        (["c", "a", "c", "a"], ["c", "a"]),
+        (["c", "all", "a", "b"], ["c", "a", "b"]),  # 'all' adds the rest in suite order
+        (["all", "all"], ["a", "b", "c"]),
+    ])
+    def test_each_suite_once_in_order_of_first_mention(self, suites, order, monkeypatch):
+        monkeypatch.setattr(verify, "SUITES", {s: [lambda cfg, s=s: s] for s in "abc"})
+        assert verify.run_suites(VerifyConfig(seed=7), suites) == order
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_all_passes_at_max_order_one(self, seed):
         # check_top_term_formula needs n >= 2 and draws it from [2, max(max_order, 2)]
